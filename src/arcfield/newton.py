@@ -1,12 +1,25 @@
 """Root branches of polynomials over Puiseux series, via the Newton polygon.
 
-The classical recursive method: each lower-hull edge of the coefficient
-valuations picks a candidate leading exponent, the edge polynomial picks the
-leading coefficients, and substituting X = t^mu (c + Y) reduces to the same
-problem one term deeper.  Exact mode admits only edge equations whose real
-roots are all rational (checked by a Sturm count against the rational roots
-found by divisor search) and raises IrrationalBranch otherwise; numeric mode
-reruns the same recursion on 64-bit floats.
+Each lower-hull edge of the coefficient valuations picks a candidate leading
+exponent mu, and the edge polynomial picks the leading coefficients.
+Substituting X = t^mu (c + Y) reduces to the same problem one term deeper.
+
+Edge equations in exact mode:
+
+* a binomial edge a0 + ak z^k (no middle terms; k = 1 is the linear edge) is
+  solved by one exact k-th root of -a0/ak.  Its real roots are simple: one
+  for odd k, +-r for even k when -a0/ak > 0, none otherwise.  Real roots
+  without a rational one prove the branch irrational (IrrationalBranch);
+* any other edge polynomial gets divisor search on its squarefree part, with
+  a Sturm count certifying that no irrational real root was missed.
+
+A simple edge root leaves a reduced polynomial Q with ord Q1 = 0 < ord Q0
+and ord Qj >= 0, whose one root of positive order is lifted by Newton
+iteration Y <- Y - Q(Y)/Q'(Y) from Y = 0, doubling the precision each step
+(Kung & Traub, JACM 25, 1978).  Its output equals what the term-by-term
+recursion would give, knowledge bounds and TruncationExhausted included;
+shapes where that is not guaranteed, repeated edge roots and numeric mode
+(64-bit floats) keep the recursion.
 
 Only real branches are produced.  Every returned branch carries a residual
 certificate: substituting it back and measuring the valuation of what is
@@ -27,8 +40,8 @@ from .errors import (
     NotPositive,
     TruncationExhausted,
 )
-from .puiseux import PuiseuxSeries
-from .qarith import Exp
+from .puiseux import PuiseuxSeries, _min_bound
+from .qarith import Exp, rational_nth_root
 
 NUMERIC_PROBE_T = 1e-3
 NUMERIC_RESIDUAL_TOL = 1e-9
@@ -149,7 +162,10 @@ def _certify(P, series, mult, target, mode) -> RootBranch:
     if residual.is_zero():
         return RootBranch(series, mult, None, "exact")
     certified = residual.ord_lower_bound()
-    if certified is None or certified < target:
+    if certified < target:
+        if not residual.terms:
+            # nothing wrong is known, the inputs just end before the target
+            raise TruncationExhausted(f"residual is known only below order {certified}")
         raise RuntimeError("branch failed its residual certificate")
     return RootBranch(series, mult, certified, "exact")
 
@@ -232,9 +248,10 @@ def _solve(coeffs, target, positive_only, mode, depth) -> List[_Branch]:
                 )
             out.append(_Branch((), j1, target))
             continue
-        # a coefficient known only above the hull cannot change the polygon;
-        # anything to the left of it or below it could
-        if j < hull[0][0] or bound is None or _below_hull(hull, j, bound):
+        # a coefficient known only above the hull cannot change the polygon
+        # or its edge equations; anything to the left of it, on it or below
+        # it could
+        if j < hull[0][0] or bound is None or _not_above_hull(hull, j, bound):
             raise TruncationExhausted(
                 f"coefficient of Y^{j} is unknown below the Newton polygon"
             )
@@ -255,7 +272,13 @@ def _solve(coeffs, target, positive_only, mode, depth) -> List[_Branch]:
                 out.append(_Branch((), mult, target))
                 continue
             shifted = _transform(coeffs, mu, c, level)
-            subs = _solve(shifted, target - mu, True, mode, depth + 1)
+            lifted = None
+            if mult == 1 and mode == "exact":
+                lifted = _lift_simple_root(shifted, target - mu)
+            if lifted is None:
+                subs = _solve(shifted, target - mu, True, mode, depth + 1)
+            else:
+                subs = [lifted]
             for s in subs:
                 terms = ((mu, c),) + tuple((mu + e, a) for e, a in s.terms)
                 trunc = None if s.trunc is None else mu + s.trunc
@@ -288,30 +311,112 @@ def _solve_linear(c0, c1, target, positive_only) -> Optional[_Branch]:
     return _Branch(root.terms, 1, root.trunc)
 
 
+def _lift_simple_root(Q, target) -> Optional[_Branch]:
+    """The root of positive order of sum Q[j] Y^j, below ``target``.
+
+    Q is the reduced polynomial at a simple edge root.  The hull checks in
+    _solve leave every unknown coefficient strictly above the polygon, so
+    ord Q1 = 0 < ord Q0, ord Qj >= 0 and every finite truncation T_j is
+    positive: the root of positive order is unique.  Newton steps from Y = 0
+    run at precisions v0, 2 v0, 4 v0, ... up to ``target`` (v0 = ord Q0),
+    each one evaluated by truncated Horner on the known terms of Q.
+
+    The term-by-term recursion would yield the same terms.  It knows Q(Y)
+    only below B = min_j (T_j + j v0), so it raises TruncationExhausted when
+    B < target, and it returns an exact root (trunc None) only when every Qj
+    is exact and Q(Y) vanishes.  Returns None when some Qj, j >= 2, is
+    unknown or could lose its known lead at a deeper level: the recursion's
+    hull checks then decide, so the caller recurses.
+    """
+    if any(not c.is_zero() and not c.terms for c in Q[2:]):
+        return None
+    if not Q[0].terms:
+        # the recursion takes Y = 0: exact when Q0 is, else known below T0
+        if Q[0].trunc is None:
+            return _Branch((), 1, None)
+        if Q[0].trunc < target:
+            raise TruncationExhausted(
+                "constant coefficient is unknown below the Newton polygon"
+            )
+        return _Branch((), 1, target)
+    v0 = Q[0].terms[0][0]
+    if v0 >= target:
+        return _Branch((), 1, target)
+    if not _lift_keeps_leads(Q, v0):
+        return None
+    bound = None
+    for j, c in enumerate(Q):
+        if c.trunc is not None:
+            bound = _min_bound(bound, c.trunc + j * v0)
+    if bound is not None and bound < target:
+        raise TruncationExhausted(
+            "constant coefficient is unknown below the Newton polygon"
+        )
+    known = PolyOverSeries(tuple(PuiseuxSeries(c.terms, ram=c.ram) for c in Q))
+    deriv = PolyOverSeries(tuple(c.scale(j) for j, c in enumerate(known.coeffs) if j))
+    y = PuiseuxSeries.zero()
+    prec = v0  # y agrees with the root below prec
+    while prec < target:
+        new = min(2 * prec, target)
+        gain = new - prec
+        step = known.eval(y, order=new) * deriv.eval(y, order=gain).inv(order=gain)
+        y = PuiseuxSeries((y - step).terms, ram=y.ram)
+        prec = new
+    # a root with terms past the target nearly always shows a residual term
+    # within v0 of it, which is far cheaper to see than the exact residual
+    exact = (
+        bound is None
+        and not known.eval(y, order=target + v0).terms
+        and known.eval(y).is_zero()
+    )
+    return _Branch(y.terms, 1, None if exact else target)
+
+
+def _lift_keeps_leads(Q, v0) -> bool:
+    """Does every Qj, j >= 2, keep a known lead (or stay exactly zero) at
+    every level of the recursion the lift replaces?
+
+    At level k the recursion holds Q^[j](Y_k), the j-th Taylor coefficient at
+    the partial root Y_k (order v0), known below min_{l>=j} (T_l + (l-j) v0).
+    When every Q_l, l >= j, is exact it stays exact.  Otherwise it suffices
+    that the lead of Qj lies below every other summand Q_l Y_k^(l-j).
+    """
+    for j in range(2, len(Q)):
+        if all(c.trunc is None for c in Q[j:]):
+            continue
+        lead = Q[j].lead()
+        if lead is None:
+            return False
+        for i, c in enumerate(Q[j + 1:], 1):
+            lb = c.ord_lower_bound()
+            if lb is not None and lb + i * v0 <= lead[0]:
+                return False
+    return True
+
+
 def _cuts_hull_from_left(hull, bound) -> bool:
     """Could a point (0, v) with v >= bound change hull edges at j >= hull[0]?
 
-    Only when (0, bound) lies strictly below the extension of the first edge;
-    above it, the extra edge stays left of the known hull.
+    Only when (0, bound) lies on or below the extension of the first edge: on
+    it, a constant term at t^bound would join that edge's equation.  Above
+    it, the extra edge stays left of the known hull.
     """
     if len(hull) < 2:
         return False
     (j1, v1), (j2, v2) = hull[0], hull[1]
     line_at_zero = v1 - j1 * Fraction(v2 - v1, j2 - j1)
-    return bound < line_at_zero
+    return bound <= line_at_zero
 
 
-def _below_hull(hull, j, v) -> bool:
-    """Is the point (j, v) strictly below the lower hull?"""
+def _not_above_hull(hull, j, v) -> bool:
+    """Is the point (j, v) on or below the lower hull?
+
+    An unknown coefficient known only below t^v can move the polygon, or add
+    a term to an edge equation, exactly when this holds.
+    """
     for (j0, v0), (j1, v1) in zip(hull, hull[1:]):
-        if j0 <= j <= j1:
-            line = v0 + (v1 - v0) * Fraction(j - j0, j1 - j0) if j1 != j0 else v0
-            if v < line:
-                return True
-    if hull and j > hull[-1][0]:
-        return False
-    if hull and j < hull[0][0]:
-        return False
+        if j0 <= j <= j1 and v <= v0 + (v1 - v0) * Fraction(j - j0, j1 - j0):
+            return True
     return False
 
 
@@ -351,12 +456,26 @@ def _transform(coeffs, mu, c, level):
 def _edge_roots(edge, mode):
     """Real nonzero roots (value, multiplicity) of sum a_k z^k from edge data."""
     deg = max(k for k, _ in edge)
+    if mode == "exact" and len(edge) == 2:
+        a = dict(edge)
+        return _binomial_roots(a[0], a[deg], deg)
     poly = [Fraction(0) if mode == "exact" else 0.0] * (deg + 1)
     for k, a in edge:
         poly[k] = poly[k] + a
     if mode == "exact":
         return _rational_roots(poly)
     return [(r, 1) for r in _float_roots(poly)]
+
+
+def _binomial_roots(a0, ak, k):
+    """Real roots of a0 + ak z^k (a0, ak nonzero), all simple, by one exact root."""
+    rad = -a0 / ak
+    if k % 2 == 0 and rad < 0:
+        return []
+    r = rational_nth_root(rad, k)
+    if r is None:
+        raise IrrationalBranch("edge equation has an irrational real root")
+    return [(r, 1)] if k % 2 else [(-r, 1), (r, 1)]
 
 
 def _rational_roots(poly):
@@ -373,9 +492,7 @@ def _rational_roots(poly):
     found = [cand for cand in sorted(cands) if _poly_eval_q(sf, cand) == 0]
     real_count = _sturm_count(sf)
     if real_count > len(found):
-        raise IrrationalBranch(
-            "edge equation has an irrational real root; rerun in numeric mode"
-        )
+        raise IrrationalBranch("edge equation has an irrational real root")
     out = []
     for r in sorted(found):
         mult = 0

@@ -79,10 +79,14 @@ def int_nth_root(n: int, k: int):
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
+    try:
+        r = round(n ** (1.0 / k))
+    except OverflowError:  # n beyond float range: bisection alone
+        r = None
+    if r is not None:
+        for cand in (r - 1, r, r + 1):
+            if cand >= 0 and cand**k == n:
+                return cand
     # float guess can be off for big integers; fall back to integer bisection
     lo, hi = 0, 1 << (n.bit_length() // k + 1)
     while lo <= hi:

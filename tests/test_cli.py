@@ -73,6 +73,14 @@ class TestProbe:
         ])
         assert code == 0
 
+    def test_transport_surjective_preimage_with_tall_coefficients(self):
+        # seed 91 draws arcs whose preimage branch has numerators past 10^14
+        code, _out, err = run([
+            "probe", "transport", "--transfer-kind", "surjective",
+            "--map", "x^3 + x^2", "--vars", "x", "--trials", "5", "--seed", "91",
+        ])
+        assert code == 0, err
+
     def test_loja_square_root_law(self):
         code, out, _ = run([
             "probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x",
@@ -124,12 +132,21 @@ class TestRoots:
     def test_irrational_suggests_numeric(self):
         code, _out, err = run(["roots", "X^2 - 2*t"])
         assert code == 1
-        assert "numeric" in err
+        assert err.count("--mode numeric") == 1
+        assert "numeric mode" not in err
         code2, out2, _ = run(["roots", "X^2 - 2*t", "--mode", "numeric",
                               "--emit", "structured"])
         assert code2 == 0
         record = json.loads(out2)
         assert len(record["payload"]["branches"]) == 2
+
+    def test_large_coefficient_square_root(self):
+        code, out, _ = run(["roots", "X^2 - 10000000000000000*t^2",
+                            "--emit", "structured"])
+        assert code == 0
+        branches = json.loads(out)["payload"]["branches"]
+        assert [b["series"] for b in branches] == ["-100000000*t", "100000000*t"]
+        assert all(b["certified_order"] is None for b in branches)
 
 
 class TestEval:

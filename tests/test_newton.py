@@ -100,9 +100,12 @@ class TestRoots:
                 assert lb is None or lb >= min(target, b.certified_order or target)
 
     def test_irrational_branch_exact_mode(self):
-        # X^2 - 2t: edge equation z^2 = 2 has no rational root
+        # X^2 - 2t and X^3 - 2t: edge equations z^2 = 2, z^3 = 2 have no
+        # rational root
         with pytest.raises(IrrationalBranch):
             np_roots(poly(t.scale(F(-2)), zero, one), 3)
+        with pytest.raises(IrrationalBranch):
+            np_roots(poly(t.scale(F(-2)), zero, zero, one), 3)
 
     def test_numeric_mode_fallback(self):
         branches = np_roots(poly(t.scale(F(-2)), zero, one), 3, mode="numeric")
@@ -115,6 +118,20 @@ class TestRoots:
         p = poly(PuiseuxSeries.unknown(1), zero, one)
         with pytest.raises(TruncationExhausted):
             np_roots(p, 3)
+
+    def test_truncated_linear_root_short_of_target(self):
+        # the root t/3 + O(t^3) cannot certify order 7: knowledge ends first
+        with pytest.raises(TruncationExhausted):
+            np_roots(poly(t.scale(F(-1, 3)) + PuiseuxSeries.unknown(3), one), 7)
+
+    def test_unknown_coefficient_on_the_hull(self):
+        # X^3 + O(t^(1/3)) X^2 + 3 t^(2/3) X - t: the X^2 coefficient could
+        # put a term on the edge from (0, 1) to (3, 0), so the edge equation
+        # is not known (with -3 t^(1/3) there it is (z - 1)^3)
+        p = poly(-t, PuiseuxSeries.t_power(F(2, 3), F(3)),
+                 PuiseuxSeries.unknown(F(1, 3)), one)
+        with pytest.raises(TruncationExhausted):
+            np_roots(p, 2)
 
     def test_truncated_linear_coefficient_ok(self):
         g = t + t * t + PuiseuxSeries.unknown(8)
@@ -141,6 +158,60 @@ class TestRoots:
         for eb, nb in zip(exact, numeric):
             for e, c in eb.series.terms:
                 assert abs(float(c) - nb.series.coeff(e)) < 1e-9
+
+
+class TestBinomialEdgesAndLift:
+    @pytest.mark.parametrize("order", [24, 64])
+    def test_cube_root_branch_to_high_order(self, order):
+        # X^3 - t - t^2 has one real branch, t^(1/3) (1 + t)^(1/3)
+        p = poly(-(t + t * t), zero, zero, one)
+        (b,) = np_roots(p, order)
+        expect = binomial_series(F(1, 3), [F(0), F(1)], order)
+        assert b.series.trunc == order
+        assert b.series.terms == tuple(
+            (F(1, 3) + k, c) for k, c in enumerate(expect) if c
+        )
+        assert b.certified_order >= order
+        lb = p.eval(b.series).ord_lower_bound()
+        assert lb >= order
+
+    @pytest.mark.parametrize("root", [10**8, 10**200], ids=["1e8", "1e200"])
+    def test_large_square_coefficient(self, root):
+        # 10^400 lies beyond float range, so the k-th root cannot start
+        # from a float guess
+        p = poly(PuiseuxSeries.t_power(2, F(-root * root)), zero, one)
+        branches = np_roots(p, 4)
+        assert [b.series.terms for b in branches] == [((1, -root),), ((1, root),)]
+        assert all(b.certified_order is None for b in branches)
+
+    def test_lift_knowledge_bound(self):
+        # sqrt(t + t^2 + O(t^8)): the truncation allows order 6, not order 8
+        g = t + t * t + PuiseuxSeries.unknown(8)
+        p = poly(-g, zero, one)
+        expect = binomial_series(F(1, 2), [F(0), F(1)], 6)
+        for b in np_roots(p, 6):
+            sign = 1 if b.series.lead()[1] > 0 else -1
+            assert b.series.trunc == 6
+            assert b.series.terms == tuple(
+                (F(1, 2) + k, sign * c) for k, c in enumerate(expect) if c
+            )
+        with pytest.raises(TruncationExhausted):
+            np_roots(p, 8)
+
+    def test_lift_defers_when_a_lead_may_cancel(self):
+        # the edge z^3 - 3z^2 + 4z - 2 has E''(1) = 0, so the Y^2 coefficient
+        # at the root 1 starts at t^2; with the top coefficient known only
+        # below t^9 it could cancel, the lift defers to the recursion, and
+        # both must agree with the exact input
+        low = (
+            PuiseuxSeries.t_power(3, F(-2)),
+            PuiseuxSeries.t_power(2, F(4)),
+            t.scale(F(-3)) + PuiseuxSeries.t_power(3),
+        )
+        exact = np_roots(poly(*low, one), 6)
+        truncated = np_roots(poly(*low, one + PuiseuxSeries.unknown(9)), 6)
+        assert [str(b.series) for b in truncated] == ["t - t^3 + 2*t^5 + O(t^6)"]
+        assert [b.series for b in truncated] == [b.series for b in exact]
 
 
 class TestOddWitness:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from arcfield.errors import IndistinguishableAtTruncation
+from arcfield.errors import IndistinguishableAtTruncation, TruncationExhausted
+from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots
 from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, reparam_inverse
 
 F = Fraction
@@ -153,3 +154,82 @@ def test_order_trichotomy_and_translation(f, g, h):
     except IndistinguishableAtTruncation:
         pass  # adding h may lower the shared knowledge bound
     assert (g - f).compare(PuiseuxSeries.zero()) == -c
+
+
+# -- Newton-polygon roots of poly_from_roots products ------------------------------
+
+
+@st.composite
+def root_series(draw):
+    """A finite root series: lead exponent on (1/q)Z, q = 1, 2 or 3."""
+    q = draw(st.sampled_from((1, 2, 3)))
+    exps = [F(draw(st.integers(min_value=1, max_value=3 * q)), q)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        exps.append(exps[-1] + F(draw(st.integers(min_value=1, max_value=2 * q)), q))
+    coeffs = [
+        F(draw(st.integers(min_value=-4, max_value=4).filter(bool)),
+          draw(st.integers(min_value=1, max_value=3)))
+        for _ in exps
+    ]
+    return PuiseuxSeries(tuple(zip(exps, coeffs)))
+
+
+@st.composite
+def root_lists(draw):
+    roots = draw(st.lists(root_series(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        roots.append(roots[0])  # a repeated root
+    return roots
+
+
+def agrees(branch, root):
+    """The branch's known terms are exactly the root's terms below its trunc."""
+    if branch.trunc is None:
+        return branch == root
+    return branch == root.truncate(branch.trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_lists(), st.sampled_from((F(2), F(7, 2), F(5))))
+def test_np_roots_recovers_constructing_roots(roots, target):
+    branches = np_roots(poly_from_roots(roots), target)
+    assert sum(b.multiplicity for b in branches) == len(roots)
+    for b in branches:
+        assert any(agrees(b.series, r) for r in roots)
+    for r in set(roots):
+        if r.terms[-1][0] < target:
+            # every term below the target: the root comes back exact
+            assert any(
+                b.series == r and b.certified_order is None
+                and b.multiplicity == roots.count(r)
+                for b in branches
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_lists(), st.data())
+def test_np_roots_never_reports_beyond_knowledge(roots, data):
+    # perturb every root past its last term; coefficient j of the product
+    # then changes only from ord D_j on, so truncating it at or below ord D_j
+    # leaves an input that both products complete
+    other = []
+    for r in roots:
+        step = F(data.draw(st.integers(min_value=1, max_value=4)), r.ram)
+        c = F(data.draw(st.integers(min_value=-3, max_value=3).filter(bool)))
+        other.append(r + PuiseuxSeries.t_power(r.terms[-1][0] + step, c))
+    p, q = poly_from_roots(roots), poly_from_roots(other)
+    coeffs = list(p.coeffs)
+    for j in range(len(coeffs) - 1):
+        diff = q.coeffs[j] - p.coeffs[j]
+        if diff.is_zero():
+            continue
+        back = F(data.draw(st.integers(min_value=0, max_value=3)), 2 * diff.ram)
+        coeffs[j] = coeffs[j].truncate(diff.lead()[0] - back)
+    target = data.draw(st.sampled_from((F(2), F(7, 2), F(5))))
+    try:
+        branches = np_roots(PolyOverSeries(tuple(coeffs)), target)
+    except TruncationExhausted:
+        return
+    for b in branches:
+        assert any(agrees(b.series, r) for r in roots)
+        assert any(agrees(b.series, r) for r in other)
