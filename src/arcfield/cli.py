@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,11 +193,18 @@ def _pruned_map(text: str, names) -> MapExpr:
     return m
 
 
-def _parse_box(text: str):
+def _parse_box(text: str, arity: int):
     out = []
     for chunk in text.split(";"):
-        lo, hi = chunk.split(",")
-        out.append((float(lo), float(hi)))
+        try:
+            lo, hi = (float(x) for x in chunk.split(","))
+        except ValueError:
+            raise ConfigError(f"box chunk {chunk!r} is not lo,hi") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"box chunk {chunk!r} is not finite")
+        out.append((lo, hi))
+    if len(out) != arity:
+        raise ConfigError(f"box has {len(out)} dimensions, the map takes {arity}")
     return out
 
 
@@ -258,6 +266,8 @@ def _sampler_spec(arity: int, args) -> ArcSamplerSpec:
 
 def run_probe(cfg: RunConfig, args) -> Report:
     kind = args.kind
+    if kind != "unif" and cfg.trials < 1:
+        raise ConfigError(f"probe {kind} needs --trials at least 1")
     if kind == "holder":
         if not args.map_text:
             raise ConfigError("probe holder needs --map")
@@ -280,7 +290,10 @@ def run_probe(cfg: RunConfig, args) -> Report:
         names = _parse_vars(args.vars)
         phi1 = _pruned_map(_expand_at(args.phi1), names)
         phi2 = _pruned_map(_expand_at(args.phi2), names)
-        box = _parse_box(args.box)
+        # both functions are sampled on one box, so they share an arity
+        arity = max(phi1.arity, phi2.arity)
+        phi1, phi2 = (MapExpr(phi.exprs, names[:arity]) for phi in (phi1, phi2))
+        box = _parse_box(args.box, arity)
         fit = loja_fit(phi1, phi2, box, samples=cfg.trials, seed=cfg.seed,
                        tolerance=cfg.tolerance)
         ok = fit.max_violation <= cfg.tolerance
@@ -299,8 +312,12 @@ def run_probe(cfg: RunConfig, args) -> Report:
     if kind == "unif":
         if not args.map_text:
             raise ConfigError("probe unif needs --map")
+        if not args.epsilon > 0:
+            raise ConfigError("probe unif needs --epsilon greater than 0")
+        if not args.grid_step > 0:
+            raise ConfigError("probe unif needs --grid-step greater than 0")
         m = _pruned_map(_expand_at(args.map_text), _parse_vars(args.vars))
-        box = _parse_box(args.box)
+        box = _parse_box(args.box, m.arity)
         r = uniform_modulus_probe(m, box, args.epsilon, args.grid_step)
         payload = {
             "kind": "unif",

@@ -158,6 +158,18 @@ class PuiseuxSeries:
     def __setattr__(self, *_args):
         raise AttributeError("PuiseuxSeries is immutable")
 
+    @classmethod
+    def _canonical(cls, terms: tuple, trunc: Optional[Exp], ram: int) -> PuiseuxSeries:
+        """Wrap terms that are already canonical: sorted, nonzero, on the
+        (1/ram)Z lattice and below ``trunc`` (a Fraction or None)."""
+        if ram > _ram_cap:
+            raise RamificationOverflow(f"ramification {ram} exceeds cap {_ram_cap}")
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "trunc", trunc)
+        object.__setattr__(out, "ram", ram)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -225,7 +237,9 @@ class PuiseuxSeries:
         t = _min_bound(self.trunc, None if order is None else Fraction(order))
         if t == self.trunc:
             return self
-        return PuiseuxSeries(self.terms, trunc=t, ram=self.ram)
+        return PuiseuxSeries._canonical(
+            tuple(p for p in self.terms if p[0] < t), t, self.ram
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -244,8 +258,8 @@ class PuiseuxSeries:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries(
-            tuple((e, -c) for e, c in self.terms), trunc=self.trunc, ram=self.ram
+        return PuiseuxSeries._canonical(
+            tuple((e, -c) for e, c in self.terms), self.trunc, self.ram
         )
 
     def __add__(self, other) -> PuiseuxSeries:
@@ -300,17 +314,17 @@ class PuiseuxSeries:
         """Multiply by a scalar (exact, truncation unchanged)."""
         if c == 0:
             return PuiseuxSeries((), trunc=self.trunc)
-        return PuiseuxSeries(
-            tuple((e, c * k) for e, k in self.terms), trunc=self.trunc, ram=self.ram
-        )
+        # a float product can underflow to 0.0, so zeros are still dropped
+        terms = tuple((e, p) for e, k in self.terms if (p := c * k) != 0)
+        return PuiseuxSeries._canonical(terms, self.trunc, self.ram)
 
     def shift(self, e) -> PuiseuxSeries:
         """Multiply by the exact monomial t^e."""
         e = Fraction(e)
-        return PuiseuxSeries(
+        return PuiseuxSeries._canonical(
             tuple((k + e, c) for k, c in self.terms),
-            trunc=_add_bound(self.trunc, e),
-            ram=lcm(self.ram, e.denominator),
+            _add_bound(self.trunc, e),
+            lcm(self.ram, e.denominator),
         )
 
     def __truediv__(self, other) -> PuiseuxSeries:
@@ -322,7 +336,7 @@ class PuiseuxSeries:
     def _unit_part(self):
         """Write self = c t^v (1 + u) with ord u > 0; returns (v, c, u)."""
         v, c = self.terms[0]
-        rest = PuiseuxSeries(self.terms[1:], trunc=self.trunc, ram=self.ram)
+        rest = PuiseuxSeries._canonical(self.terms[1:], self.trunc, self.ram)
         recip = Fraction(1) / c if isinstance(c, Fraction) else 1.0 / c
         return v, c, rest.shift(-v).scale(recip)
 
@@ -344,11 +358,19 @@ class PuiseuxSeries:
         inherited from the operand.
         """
         e = Fraction(e)
+        terminates = e.denominator == 1 and e >= 0
         if not self.terms:
             if self.is_zero():
                 if e > 0:
                     return PuiseuxSeries.zero()
                 raise ZeroDivisionError("zero series with nonpositive exponent")
+            if e > 0 and e.denominator % 2:
+                # ord(f^e) = e ord(f) >= e trunc whatever the unknown sign of
+                # f, and 0^e = 0; an even root or an inverse is undecidable
+                bound = e * self.trunc
+                if not terminates and order is not None:
+                    bound = min(bound, Fraction(order))
+                return PuiseuxSeries.unknown(bound)
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
             return PuiseuxSeries.one()
@@ -360,7 +382,6 @@ class PuiseuxSeries:
         # relative precision available for the binomial expansion; ``order``
         # only caps expansions that would otherwise be infinite
         rel = None if self.trunc is None else self.trunc - v
-        terminates = e.denominator == 1 and e >= 0
         if not terminates:
             if order is not None:
                 rel = _min_bound(rel, Fraction(order) - head_exp)
@@ -514,8 +535,8 @@ def _binomial_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxS
             if prev:
                 acc += (e1 * j - n) * ua[j] * prev
         h[n] = acc / n if acc else 0
-    terms = [(Fraction(n, ram), h[n]) for n in range(n_max + 1) if h[n]]
-    return PuiseuxSeries(terms, trunc=rel, ram=ram)
+    terms = tuple((Fraction(n, ram), h[n]) for n in range(n_max + 1) if h[n])
+    return PuiseuxSeries._canonical(terms, rel, ram)
 
 
 def formal_derivative(f: PuiseuxSeries) -> PuiseuxSeries:

@@ -8,6 +8,15 @@ coefficientwise and is decided exactly on ParamSeries data.
 The probes are sampled, seeded and deterministic: trial i draws from a
 generator seeded with seed XOR i, so runs are reproducible and trials could
 be distributed without changing the report.
+
+The Hoelder and injectivity probes only compare two images, and the first
+differing term usually sits far below the working order.  So they evaluate
+the images on a precision ladder (order/8, order/4, order/2, order) and stop
+at the first rung that decides ord(h(gamma) - h(delta)).  This is exact, not
+a heuristic: every coefficient known at a low working order is the true one,
+so a known leading exponent, an exact equality, or an error raised from a
+known leading coefficient is what the full order gives too.  Undecided rungs
+move on, and the last rung is the evaluation at the full order.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .errors import (
     CounterexampleFound,
     DegenerateData,
     GuardViolation,
+    IrrationalLeadingRoot,
+    NegativeBaseForEvenRoot,
 )
 from .mapexpr import MapExpr, eval_map_float, eval_map_series
 from .param_series import DivergenceWitness, ParamSeries, divergence_witness
@@ -176,6 +187,44 @@ def sample_pair(rng: random.Random, spec: ArcSamplerSpec) -> tuple:
     return gamma, delta
 
 
+# -- image distance by a precision ladder -----------------------------------------
+
+# errors raised only from a known leading coefficient, hence at every order
+_FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
+
+
+def _image_ord_dist(h: MapExpr, gamma, delta, order):
+    """tadic_ord_dist(h(gamma), h(delta)) with both images at working ``order``.
+
+    Returns None where evaluating an image at ``order`` raises ArcFieldError.
+    The images are first evaluated at order/8, order/4 and order/2, and a
+    rung's outcome is returned only when it holds at every order: a known
+    leading exponent of the difference, exactly equal images, or an error
+    that comes from a known leading coefficient.  Anything else (a guard or
+    lead that is merely unknown, an unresolved difference) moves to the next
+    rung, and the last rung is the plain evaluation at ``order``.
+    """
+    top = Fraction(order)
+    for rung in (top / 8, top / 4, top / 2):
+        try:
+            img = tadic_ord_dist(
+                eval_map_series(h, gamma, order=rung),
+                eval_map_series(h, delta, order=rung),
+            )
+        except _FINAL_ERRORS:
+            return None
+        except ArcFieldError:
+            continue
+        if not isinstance(img, ZeroUpToTruncation) or img.trunc is None:
+            return img
+    try:
+        hg = eval_map_series(h, gamma, order=order)
+        hd = eval_map_series(h, delta, order=order)
+    except ArcFieldError:
+        return None
+    return tadic_ord_dist(hg, hd)
+
+
 # -- Hoelder probe ----------------------------------------------------------------
 
 
@@ -212,9 +261,12 @@ def holder_probe(
 
     Pairs whose images cannot be evaluated (root guards) or whose image
     difference does not resolve at the working order are discarded and
-    counted, not fatal.  alpha is searched over rationals in (0, 1] with
-    bounded denominator; the offset is the worst slack at that alpha, so it
-    is nonnegative by construction.
+    counted, not fatal.  Images are compared by ``_image_ord_dist``, which
+    settles a pair at the lowest rung of order/8, order/4, order/2, order
+    that decides it; the estimate equals the one with every image evaluated
+    at ``order`` (see the module docstring).  alpha is searched over
+    rationals in (0, 1] with bounded denominator; the offset is the worst
+    slack at that alpha, so it is nonnegative by construction.
     """
     if order is None:
         order = Fraction(spec.max_exp_num + 8)
@@ -235,13 +287,10 @@ def holder_probe(
         d = tadic_ord_dist(gamma, delta)
         if isinstance(d, ZeroUpToTruncation):
             continue  # identical arcs carry no constraint
-        try:
-            hg = eval_map_series(h, gamma, order=order)
-            hd = eval_map_series(h, delta, order=order)
-        except ArcFieldError:
+        img = _image_ord_dist(h, gamma, delta, order)
+        if img is None:
             discarded += 1
             continue
-        img = tadic_ord_dist(hg, hd)
         if isinstance(img, ZeroUpToTruncation):
             if img.trunc is None:
                 produced += 1  # equal images: no constraint, infinite ratio
@@ -460,13 +509,10 @@ def _check_injective(h, spec, trials, seed, order):
         d = tadic_ord_dist(gamma, delta)
         if isinstance(d, ZeroUpToTruncation):
             continue  # not distinguishably distinct
-        try:
-            hg = eval_map_series(h, gamma, order=order)
-            hd = eval_map_series(h, delta, order=order)
-        except ArcFieldError:
+        img = _image_ord_dist(h, gamma, delta, order)
+        if img is None:
             continue
         produced += 1
-        img = tadic_ord_dist(hg, hd)
         if isinstance(img, ZeroUpToTruncation) and img.trunc is None:
             witness = (
                 tuple(render_series(s) for s in gamma),

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from arcfield.cli import main
 
 
@@ -78,6 +80,15 @@ class TestProbe:
         code, _out, err = run([
             "probe", "transport", "--transfer-kind", "surjective",
             "--map", "x^3 + x^2", "--vars", "x", "--trials", "5", "--seed", "91",
+        ])
+        assert code == 0, err
+
+    def test_transport_surjective_square_through_unknown_preimage(self):
+        # the preimage branches are O(t^8), whose square must be O(t^16)
+        code, _out, err = run([
+            "probe", "transport", "--transfer-kind", "surjective",
+            "--map", "x^2", "--vars", "x", "--trials", "5", "--target", "8",
+            "--seed", "56",
         ])
         assert code == 0, err
 
@@ -190,3 +201,43 @@ class TestErrors:
     def test_ram_cap_validation(self):
         code, _out, err = run(["counterexample", "--ram-cap", "0"])
         assert code == 1
+
+
+LOJA = ["probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x"]
+UNIF = ["probe", "unif", "--map", "x", "--vars", "x"]
+TRANSPORT = ["probe", "transport", "--map", "x^3", "--vars", "x", "--transfer-kind"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["probe", "holder", "--map", "x", "--vars", "x", "--trials", "0"],
+                 id="holder-trials-0"),
+    pytest.param(["probe", "holder", "--map", "x", "--vars", "x", "--trials", "-3"],
+                 id="holder-trials-negative"),
+    pytest.param(TRANSPORT + ["injective", "--trials", "0"], id="injective-trials-0"),
+    pytest.param(TRANSPORT + ["surjective", "--trials", "-3"], id="surjective-trials-negative"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive", "--trials", "0"],
+                 id="limit-additive-trials-0"),
+    pytest.param(LOJA + ["--box=-1,1", "--trials", "0"], id="loja-trials-0"),
+    pytest.param(UNIF + ["--box", "0,1", "--epsilon", "0"], id="unif-epsilon-0"),
+    pytest.param(UNIF + ["--box", "0,1", "--epsilon", "-1"], id="unif-epsilon-negative"),
+    pytest.param(UNIF + ["--box", "0,1", "--grid-step", "0"], id="unif-grid-step-0"),
+    pytest.param(UNIF + ["--box", "0,1", "--grid-step", "-0.1"], id="unif-grid-step-negative"),
+    pytest.param(UNIF + ["--box", "0,1;0,1;0,1"], id="unif-box-dimension"),
+    pytest.param(UNIF + ["--box", "0;1"], id="unif-box-malformed"),
+    pytest.param(UNIF + ["--box", "0,inf"], id="unif-box-infinite"),
+    pytest.param(LOJA + ["--box", "0,1;0,1"], id="loja-box-dimension"),
+    pytest.param(LOJA + ["--box", "1"], id="loja-box-malformed"),
+])
+def test_bad_probe_input_is_one_error_line(argv):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_loja_functions_share_the_box():
+    # phi1 uses only x, phi2 only y: both are sampled on the 2-dimensional box
+    code, out, err = run(["probe", "loja", "--phi1", "x^2", "--phi2", "y", "--vars", "x,y",
+                          "--box", "0,1;0,1", "--trials", "40", "--emit", "structured"])
+    assert code in (0, 2) and not err
+    assert json.loads(out)["payload"]["fit_samples"] > 0

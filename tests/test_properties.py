@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcfield.errors import IndistinguishableAtTruncation, TruncationExhausted
 from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots
-from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, reparam_inverse
+from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, _binomial_sum, reparam_inverse
 
 F = Fraction
 
@@ -233,3 +233,28 @@ def test_np_roots_never_reports_beyond_knowledge(roots, data):
     for b in branches:
         assert any(agrees(b.series, r) for r in roots)
         assert any(agrees(b.series, r) for r in other)
+
+
+def renormalized(f):
+    """``f`` rebuilt by the general constructor, which sorts, merges and filters."""
+    return PuiseuxSeries(f.terms, trunc=f.trunc, ram=f.ram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    series(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=8, max_denominator=4),
+)
+def test_fast_constructor_outputs_are_canonical(f, c, k):
+    outs = [-f, f.scale(c), f.shift(k), f.truncate(k)]
+    if f.terms:
+        v, _c, u = f._unit_part()
+        outs.append(u)
+        rel = v + 4 if f.trunc is None else f.trunc - v
+        if rel > 0:
+            outs.append(_binomial_sum(u, F(1, 3), rel))
+    for out in outs:
+        again = renormalized(out)
+        assert again == out and again.ram == out.ram
+    assert f.truncate(k) == PuiseuxSeries(f.terms, trunc=k if f.trunc is None else min(k, f.trunc))

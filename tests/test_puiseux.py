@@ -162,6 +162,26 @@ class TestPow:
         got = PuiseuxSeries.t_power(3, F(-8)).pow_rational(F(1, 3))
         assert got == PuiseuxSeries.t_power(1, F(-2))
 
+    def test_unknown_series_odd_power(self):
+        assert PuiseuxSeries.unknown(8) ** 2 == PuiseuxSeries.unknown(16)
+        assert PuiseuxSeries.unknown(6).pow_rational(F(1, 3)) == PuiseuxSeries.unknown(2)
+        # order caps a non-terminating expansion, not an integer power
+        assert PuiseuxSeries.unknown(6).pow_rational(F(5, 3), order=7) == PuiseuxSeries.unknown(7)
+        assert PuiseuxSeries.unknown(8).pow_rational(F(3), order=7) == PuiseuxSeries.unknown(24)
+
+    def test_unknown_series_odd_power_is_sound(self):
+        # every series of order >= 3, of either sign, has f^e of order >= 3e
+        for f in (PuiseuxSeries.t_power(3, F(-8)), PuiseuxSeries.t_power(F(7, 2), F(27)) + t**4):
+            for e in (F(2), F(1, 3), F(5, 3)):
+                power = f.pow_rational(e, order=12)
+                bound = PuiseuxSeries.unknown(3).pow_rational(e, order=12).trunc
+                assert power.ord_lower_bound() >= bound
+
+    def test_unknown_series_undecidable_powers(self):
+        for e in (F(1, 2), F(3, 4), F(0), F(-1), F(-1, 3)):
+            with pytest.raises(ZeroUpToTruncationError):
+                PuiseuxSeries.unknown(8).pow_rational(e, order=12)
+
 
 class TestCompose:
     def test_square(self):
@@ -259,8 +279,14 @@ class TestStructure:
         try:
             with pytest.raises(RamificationOverflow):
                 PuiseuxSeries.t_power(F(1, 9))
+            with pytest.raises(RamificationOverflow):
+                t.shift(F(1, 9))
         finally:
             set_ram_cap(64)
+
+    def test_numeric_scale_drops_underflow(self):
+        tiny = PuiseuxSeries(((F(1), 1e-200), (F(2), 1.0)))
+        assert tiny.scale(1e-200).terms == ((F(2), 1e-200),)
 
     def test_derivative(self):
         f = series_from_ints([(0, 3), (2, 1)], trunc=4)

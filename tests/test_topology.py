@@ -2,20 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_series
 
-from arcfield.errors import CounterexampleFound, DegenerateData
-from arcfield.mapexpr import Pow, map_expr, variables
+from arcfield.errors import ArcFieldError, CounterexampleFound, DegenerateData, GuardViolation
+from arcfield.mapexpr import Pow, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
-from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation
+from arcfield.parser import parse_map
+from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, render_series
 from arcfield.topology import (
     ArcSamplerSpec,
+    HolderEstimate,
+    _image_ord_dist,
     best_rational_below,
     canonical_pair,
     holder_probe,
     loja_fit,
     product_topology_limit,
+    sample_pair,
     tadic_ord_dist,
     transfer_check,
     uniform_modulus_probe,
@@ -280,3 +285,105 @@ class TestTopologiesConsistency:
             assert not isinstance(d_img, ZeroUpToTruncation)
             # alpha = 1 with zero offset observed on this family
             assert d_img >= d_src
+
+
+# -- the precision ladder against full-order references ------------------------------
+
+ORDER = F(16)  # the probes' working order for the default sampler
+CHEAP_MAPS = {
+    "cbrt": (parse_map("x^(1/3)", ("x",)), ArcSamplerSpec(dim=1, unit_lead=True)),
+    "cbrt-any-lead": (parse_map("x^(1/3)", ("x",)), ArcSamplerSpec(dim=1)),
+    "sqrt": (parse_map("x^(1/2)", ("x",)), ArcSamplerSpec(dim=1, unit_lead=True)),
+    "sqrt-any-lead": (parse_map("x^(1/2)", ("x",)), ArcSamplerSpec(dim=1)),
+    "umbrella": (whitney_umbrella_map(), ArcSamplerSpec(dim=2)),
+    # the lead of the root's argument is unknown at low orders: GuardViolation
+    "unknown-lead": (parse_map("((1/(1+x)) - 1 + x)^(1/2)", ("x",)), ArcSamplerSpec(dim=1)),
+}
+STRETCH_MAPS = {
+    "stretch": (radial_stretch_map(), ArcSamplerSpec(dim=2)),
+    "stretch-min-ord": (radial_stretch_map(), ArcSamplerSpec(dim=2, min_lead_exp=(F(1), F(2)))),
+}
+
+
+def full_order_dist(h, gamma, delta, order):
+    """Reference: both images at the working order, None when one fails."""
+    try:
+        hg = eval_map_series(h, gamma, order=order)
+        hd = eval_map_series(h, delta, order=order)
+    except ArcFieldError:
+        return None
+    return tadic_ord_dist(hg, hd)
+
+
+def full_order_holder(h, spec, trials, seed, order=ORDER, alpha_max_den=24):
+    """The Hoelder loop with every image evaluated at the working order."""
+    ratios, discarded, produced, i, attempts = [], 0, 0, 0, 0
+    while produced < trials and attempts < 50 * trials + 10:
+        attempts += 1
+        if i == 0:
+            gamma, delta = canonical_pair(spec)
+        else:
+            gamma, delta = sample_pair(random.Random(seed ^ i), spec)
+        i += 1
+        d = tadic_ord_dist(gamma, delta)
+        if isinstance(d, ZeroUpToTruncation):
+            continue
+        img = full_order_dist(h, gamma, delta, order)
+        if img is None or (isinstance(img, ZeroUpToTruncation) and img.trunc is not None):
+            discarded += 1
+            continue
+        produced += 1
+        if not isinstance(img, ZeroUpToTruncation):
+            ratios.append((F(img) / d, d, img, (gamma, delta)))
+    assert produced == trials
+    if not ratios:
+        return HolderEstimate(F(1), F(0), produced, discarded, ("", ""))
+    worst = min(ratios, key=lambda r: r[0])
+    alpha = max(F(0), best_rational_below(min(F(1), worst[0]), alpha_max_den))
+    offset = min(D - alpha * d for _r, d, D, _p in ratios)
+    pair = tuple("(" + ", ".join(render_series(s) for s in arc) + ")" for arc in worst[3])
+    return HolderEstimate(alpha, offset, produced, discarded, pair)
+
+
+def _check_ladder(maps, name, seed):
+    h, spec = maps[name]
+    gamma, delta = sample_pair(random.Random(seed), spec)
+    assert _image_ord_dist(h, gamma, delta, ORDER) == full_order_dist(h, gamma, delta, ORDER)
+
+
+class TestImageLadder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(CHEAP_MAPS)), st.integers(0, 2**32))
+    def test_matches_full_order(self, name, seed):
+        _check_ladder(CHEAP_MAPS, name, seed)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(sorted(STRETCH_MAPS)), st.integers(0, 2**32))
+    def test_matches_full_order_stretch(self, name, seed):
+        _check_ladder(STRETCH_MAPS, name, seed)
+
+    def test_retries_past_an_unknown_lead(self):
+        h, _spec = CHEAP_MAPS["unknown-lead"]
+        gamma, delta = (t,), (t.scale(2),)
+        with pytest.raises(GuardViolation):
+            eval_map_series(h, gamma, order=ORDER / 8)
+        assert _image_ord_dist(h, gamma, delta, ORDER) == 1
+        assert full_order_dist(h, gamma, delta, ORDER) == 1
+
+    def test_exact_equality_is_final(self):
+        x, = variables("x")
+        square = map_expr((x * x,), ("x",))
+        assert _image_ord_dist(square, (t,), (-t,), ORDER) == ZeroUpToTruncation(None)
+
+    @pytest.mark.parametrize("name", sorted(CHEAP_MAPS))
+    def test_holder_probe_matches_full_order(self, name):
+        h, spec = CHEAP_MAPS[name]
+        for seed in (1, 9173):
+            assert holder_probe(h, spec, trials=30, seed=seed) == full_order_holder(
+                h, spec, 30, seed
+            )
+
+    @pytest.mark.parametrize("name", sorted(STRETCH_MAPS))
+    def test_holder_probe_matches_full_order_stretch(self, name):
+        h, spec = STRETCH_MAPS[name]
+        assert holder_probe(h, spec, trials=8, seed=3) == full_order_holder(h, spec, 8, 3)
