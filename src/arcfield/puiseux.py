@@ -364,13 +364,12 @@ class PuiseuxSeries:
                 if e > 0:
                     return PuiseuxSeries.zero()
                 raise ZeroDivisionError("zero series with nonpositive exponent")
-            if e > 0 and e.denominator % 2:
-                # ord(f^e) = e ord(f) >= e trunc whatever the unknown sign of
-                # f, and 0^e = 0; an even root or an inverse is undecidable
-                bound = e * self.trunc
-                if not terminates and order is not None:
-                    bound = min(bound, Fraction(order))
-                return PuiseuxSeries.unknown(bound)
+            if terminates and e > 0:
+                # ord(f^n) = n ord(f) >= n trunc, and a known lead of f has
+                # an exact n-th power.  A root is not decided: its leading
+                # coefficient may be irrational or need a positive base, and
+                # an inverse needs a nonzero one
+                return PuiseuxSeries((), trunc=e * self.trunc, ram=self.ram)
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
             return PuiseuxSeries.one()
@@ -516,7 +515,9 @@ def _binomial_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxS
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
     if n_max < 0:
-        return PuiseuxSeries((), trunc=rel)
+        # keep u's ramification, so a working order that leaves no lattice
+        # point does not shrink ``ram`` below what a larger order yields
+        return PuiseuxSeries((), trunc=rel, ram=ram)
     ua = {}
     for exp, c in u.terms:
         idx = int(exp * ram)

@@ -15,8 +15,12 @@ the images on a precision ladder (order/8, order/4, order/2, order) and stop
 at the first rung that decides ord(h(gamma) - h(delta)).  This is exact, not
 a heuristic: every coefficient known at a low working order is the true one,
 so a known leading exponent, an exact equality, or an error raised from a
-known leading coefficient is what the full order gives too.  Undecided rungs
-move on, and the last rung is the evaluation at the full order.
+known leading coefficient is what the full order gives too.  An evaluation
+that succeeds at a low order also succeeds at the full order: a power of a
+series with no known term succeeds only for a positive integer exponent,
+and the ramification of every intermediate series, which the cap bounds,
+does not depend on the order.  Undecided rungs move on, and the last rung
+is the evaluation at the full order.
 """
 
 from __future__ import annotations

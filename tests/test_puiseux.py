@@ -162,25 +162,33 @@ class TestPow:
         got = PuiseuxSeries.t_power(3, F(-8)).pow_rational(F(1, 3))
         assert got == PuiseuxSeries.t_power(1, F(-2))
 
-    def test_unknown_series_odd_power(self):
+    def test_unknown_series_integer_power(self):
         assert PuiseuxSeries.unknown(8) ** 2 == PuiseuxSeries.unknown(16)
-        assert PuiseuxSeries.unknown(6).pow_rational(F(1, 3)) == PuiseuxSeries.unknown(2)
-        # order caps a non-terminating expansion, not an integer power
-        assert PuiseuxSeries.unknown(6).pow_rational(F(5, 3), order=7) == PuiseuxSeries.unknown(7)
+        # order caps non-terminating expansions only, not an integer power
         assert PuiseuxSeries.unknown(8).pow_rational(F(3), order=7) == PuiseuxSeries.unknown(24)
+        assert PuiseuxSeries((), trunc=3, ram=6).pow_rational(F(2)).ram == 6
 
-    def test_unknown_series_odd_power_is_sound(self):
-        # every series of order >= 3, of either sign, has f^e of order >= 3e
+    def test_unknown_series_integer_power_is_sound(self):
+        # every series of order >= 3, of either sign, has f^n of order >= 3n
         for f in (PuiseuxSeries.t_power(3, F(-8)), PuiseuxSeries.t_power(F(7, 2), F(27)) + t**4):
-            for e in (F(2), F(1, 3), F(5, 3)):
-                power = f.pow_rational(e, order=12)
-                bound = PuiseuxSeries.unknown(3).pow_rational(e, order=12).trunc
+            for n in (F(2), F(3)):
+                power = f.pow_rational(n, order=12)
+                bound = PuiseuxSeries.unknown(3).pow_rational(n, order=12).trunc
                 assert power.ord_lower_bound() >= bound
 
     def test_unknown_series_undecidable_powers(self):
-        for e in (F(1, 2), F(3, 4), F(0), F(-1), F(-1, 3)):
+        # a root's leading coefficient may be irrational or need a positive
+        # base, and an inverse needs a nonzero one
+        for e in (F(1, 3), F(5, 3), F(1, 2), F(3, 4), F(0), F(-1), F(-1, 3)):
             with pytest.raises(ZeroUpToTruncationError):
                 PuiseuxSeries.unknown(8).pow_rational(e, order=12)
+
+    def test_root_beyond_the_order_keeps_ramification(self):
+        # no lattice point below the order is left, yet the half-integer
+        # exponents of the base still count
+        base = PuiseuxSeries(((F(16), F(1)), (F(33, 2), F(1))))
+        assert base.pow_rational(F(1, 5), order=2).ram == 10
+        assert base.pow_rational(F(1, 5), order=16).ram == 10
 
 
 class TestCompose:

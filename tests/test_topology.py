@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_series
 
-from arcfield.errors import ArcFieldError, CounterexampleFound, DegenerateData, GuardViolation
+from arcfield.errors import (
+    ArcFieldError,
+    CounterexampleFound,
+    DegenerateData,
+    GuardViolation,
+    IrrationalLeadingRoot,
+    RamificationOverflow,
+)
 from arcfield.mapexpr import Pow, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
 from arcfield.parser import parse_map
@@ -298,6 +305,12 @@ CHEAP_MAPS = {
     "umbrella": (whitney_umbrella_map(), ArcSamplerSpec(dim=2)),
     # the lead of the root's argument is unknown at low orders: GuardViolation
     "unknown-lead": (parse_map("((1/(1+x)) - 1 + x)^(1/2)", ("x",)), ArcSamplerSpec(dim=1)),
+    # an odd root of the same unknown lead: ZeroUpToTruncationError at low
+    # orders, IrrationalLeadingRoot at the working order on (t, -t)
+    "unknown-lead-cbrt": (
+        parse_map("x + (2*x^3*((1/(1+x)) - 1 + x))^(1/3)", ("x",)),
+        ArcSamplerSpec(dim=1),
+    ),
 }
 STRETCH_MAPS = {
     "stretch": (radial_stretch_map(), ArcSamplerSpec(dim=2)),
@@ -369,6 +382,27 @@ class TestImageLadder:
             eval_map_series(h, gamma, order=ORDER / 8)
         assert _image_ord_dist(h, gamma, delta, ORDER) == 1
         assert full_order_dist(h, gamma, delta, ORDER) == 1
+
+    def test_odd_root_of_an_unknown_lead_is_not_final(self):
+        h, _spec = CHEAP_MAPS["unknown-lead-cbrt"]
+        gamma, delta = (t,), (-t,)
+        with pytest.raises(IrrationalLeadingRoot):
+            eval_map_series(h, gamma, order=ORDER)
+        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        assert full_order_dist(h, gamma, delta, ORDER) is None
+
+    def test_ramification_overflow_does_not_depend_on_the_order(self):
+        # at t the 5/3 power has ramification 6 even where all of its terms
+        # lie beyond the order, as at order/8; with x^(1/11) that exceeds
+        # the cap of 64, while the difference with the image of t^2 has a
+        # known lead t^(1/11)
+        h = parse_map("x^(1/11) + (x^2 + x^(5/2))^(5/3)", ("x",))
+        gamma, delta = (t,), (t**2,)
+        for rung in (ORDER / 8, ORDER):
+            with pytest.raises(RamificationOverflow):
+                eval_map_series(h, gamma, order=rung)
+        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        assert full_order_dist(h, gamma, delta, ORDER) is None
 
     def test_exact_equality_is_final(self):
         x, = variables("x")
