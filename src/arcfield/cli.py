@@ -214,10 +214,13 @@ def _parse_box(text: str, arity: int):
 def run_counterexample(cfg: RunConfig, grid_box: float, grid_step: float) -> Report:
     if cfg.t_order < 3:
         raise ConfigError("counterexample needs --t-order at least 3")
+    try:
+        bound_max = monotone_bound_check(grid_box, grid_step)
+    except ValueError as exc:
+        raise ConfigError(f"bad --grid-box/--grid-step: {exc}") from None
     result = counterexample_pushforward(cfg.t_order)
     product = chart_factor_product(12)
     product_ok = product.terms == ((Fraction(0), Fraction(1)),)
-    bound_max = monotone_bound_check(grid_box, grid_step)
     lift_u, _lift_v = chart_lift_maps()
     det = jacobian_check(lift_u, [(0.0, 0.0)])
     w = result.witness

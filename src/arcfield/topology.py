@@ -500,6 +500,7 @@ def transfer_check(
 
 def _check_injective(h, spec, trials, seed, order):
     produced = 0
+    discarded = 0
     i = 0
     attempts = 0
     while produced < trials and attempts < 50 * trials + 10:
@@ -515,6 +516,7 @@ def _check_injective(h, spec, trials, seed, order):
             continue  # not distinguishably distinct
         img = _image_ord_dist(h, gamma, delta, order)
         if img is None:
+            discarded += 1
             continue
         produced += 1
         if isinstance(img, ZeroUpToTruncation) and img.trunc is None:
@@ -523,6 +525,10 @@ def _check_injective(h, spec, trials, seed, order):
                 tuple(render_series(s) for s in delta),
             )
             raise CounterexampleFound("injective", witness)
+    if produced < trials:
+        raise DegenerateData(
+            f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
+        )
     return TransferReport("injective", produced, "pass")
 
 

@@ -16,6 +16,8 @@ at 0 are recovered afterwards.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -238,26 +240,77 @@ def chart_factor_coefficients(order) -> dict:
 # -- numeric probes of the catalog ----------------------------------------------
 
 
+# a past-peak column whose value times this is below the best so far ends a walk
+_RIDGE_MARGIN = 1.0 + 1e-12
+
+
+def _grid_size(box: float, step: float) -> int:
+    """n = round(box / step), or ValueError outside monotone_bound_check's range.
+
+    step^4 is the smallest nonzero numerator the scan forms and 12 (n step)^4
+    bounds its largest denominator.
+    """
+    if not (0.0 < box < math.inf and 0.0 < step < math.inf):
+        raise ValueError(f"grid box and step must be finite and positive, got {box!r}, {step!r}")
+    ratio = box / step
+    if not ratio > 0.5:  # round(ratio) >= 1
+        raise ValueError(f"grid box {box!r} is at most half the step {step!r}: no grid point")
+    top = round(ratio) * step if ratio < math.inf else math.inf
+    lo, hi = step * step, top * top
+    if lo * lo < sys.float_info.min or 12.0 * hi * hi > sys.float_info.max:
+        raise ValueError(f"grid box {box!r} with step {step!r} leaves the normal float range")
+    return round(ratio)
+
+
 def monotone_bound_check(box: float = 10.0, step: float = 0.01) -> float:
     """Grid maximum of the slope defect of the stretch, off the x-axis.
 
     The derivative in x of the first stretch component is
     Q^(1/4) * (1 - g(x, y)) with g = x^2 y^2 / (2 (x^2+y^2) (x^2+2y^2)).
     g is invariant under (x, y) -> (lambda x, lambda y) and even in both
-    variables, so the scan covers one closed quadrant; its supremum is
-    s/(2(s+1)(s+2)) at s = (x/y)^2 = sqrt(2), well below 1/4, which is what
-    makes the map strictly increasing in x on every horizontal line.
+    variables, so the grid covers one closed quadrant: columns i = 0..n and
+    rows iy = 1..n at spacing ``step``, n = round(box / step).  Its
+    supremum is s/(2(s+1)(s+2)) at s = (x/y)^2 = sqrt(2), well below 1/4,
+    which is what makes the map strictly increasing in x on every
+    horizontal line.
+
+    The result is the maximum over the whole grid, bit for bit, from O(n)
+    evaluations along the ridge x = 2^(1/4) y:
+
+    * At (i, iy) the exact value is G(s) = s / (2(s+1)(s+2)) with
+      s = (i/iy)^2, since the scale ``step`` cancels.  While every product
+      is a normal float the computed value is within a few ulps of G.
+    * G rises up to s = sqrt(2) and falls after it, and column i lies past
+      the peak of row iy exactly when i^4 > 2 iy^4 (right) or
+      i^4 < 2 iy^4 (left); equality is impossible in integers.
+    * Each row is walked right, then left, from column
+      min(n, round(2^(1/4) iy)).  A walk stops at a column past the peak
+      whose value times (1 + 1e-12) is below the best so far.  The margin
+      exceeds the evaluation error by orders of magnitude, so every column
+      beyond it is strictly below the best, and the maximum of the values
+      evaluated is the maximum of all of them.
+
+    Raises ValueError unless box and step are finite and positive, n >= 1,
+    and the products stay normal: step^4 and 12 (n step)^4 are normal floats.
     """
-    n = round(box / step)
+    n = _grid_size(box, step)
     xs2 = [(i * step) ** 2 for i in range(n + 1)]
+    fourth_root_2 = 2.0 ** 0.25
     best = 0.0
     for iy in range(1, n + 1):
         y2 = (iy * step) ** 2
         y2_2 = 2.0 * y2
-        for x2 in xs2:
-            val = x2 * y2 / (2.0 * (x2 + y2) * (x2 + y2_2))
-            if val > best:
-                best = val
+        ridge = 2 * iy ** 4
+        start = min(n, round(iy * fourth_root_2))
+        # column i is past the peak on this side when (i^4 - ridge) * side > 0
+        for cols, side in ((range(start, n + 1), 1), (range(start - 1, -1, -1), -1)):
+            for i in cols:
+                x2 = xs2[i]
+                val = x2 * y2 / (2.0 * (x2 + y2) * (x2 + y2_2))
+                if val > best:
+                    best = val
+                elif (i ** 4 - ridge) * side > 0 and val * _RIDGE_MARGIN < best:
+                    break
     return best
 
 

@@ -235,6 +235,22 @@ def test_bad_probe_input_is_one_error_line(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(["--grid-step", "0"], id="grid-step-0"),
+    pytest.param(["--grid-step", "nan"], id="grid-step-nan"),
+    pytest.param(["--grid-box", "inf"], id="grid-box-inf"),
+    pytest.param(["--grid-step", "1e-300", "--grid-box", "1e-298"], id="grid-subnormal"),
+    pytest.param(["--grid-step", "-0.01"], id="grid-step-negative"),
+    pytest.param(["--grid-box", "-1"], id="grid-box-negative"),
+    pytest.param(["--grid-box", "0"], id="grid-box-0"),
+])
+def test_bad_counterexample_grid_is_one_error_line(grid):
+    code, out, err = run(["counterexample"] + grid)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_loja_functions_share_the_box():
     # phi1 uses only x, phi2 only y: both are sampled on the 2-dimensional box
     code, out, err = run(["probe", "loja", "--phi1", "x^2", "--phi2", "y", "--vars", "x,y",

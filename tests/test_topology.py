@@ -249,6 +249,15 @@ class TestTransfer:
             )
         assert info.value.witness == (("t",), ("-t",))
 
+    @pytest.mark.parametrize("text, trials, evaluated", [
+        ("(-1 - x^2)^(1/2)", 5, 0),  # negative base under an even root: no pair at all
+        ("x^(1/11) + (x^2 + x^(5/2))^(5/3)", 12, 4),  # ramification beyond the cap
+    ])
+    def test_injective_too_few_pairs_is_degenerate(self, text, trials, evaluated):
+        with pytest.raises(DegenerateData, match=f"could only evaluate {evaluated} of {trials}"):
+            transfer_check("injective", parse_map(text, ("x",)), ArcSamplerSpec(dim=1),
+                           trials=trials, seed=1)
+
     def test_whitney_surjective(self):
         rep = transfer_check(
             "surjective", whitney_umbrella_map(), ArcSamplerSpec(dim=2),

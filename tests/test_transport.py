@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import lagrange_inverse, random_series
 
@@ -198,7 +199,46 @@ class TestPushforwardPipeline:
         assert r.factor_coeffs[(m0, n0)] == w.coeff
 
 
+def full_grid_max(box, step):
+    """Every point of the grid, in the evaluation order of the original scan."""
+    n = round(box / step)
+    xs2 = [(i * step) ** 2 for i in range(n + 1)]
+    best = 0.0
+    for iy in range(1, n + 1):
+        y2 = (iy * step) ** 2
+        y2_2 = 2.0 * y2
+        for x2 in xs2:
+            val = x2 * y2 / (2.0 * (x2 + y2) * (x2 + y2_2))
+            if val > best:
+                best = val
+    return best
+
+
 class TestMonotoneBound:
+    def test_default_grid_pinned(self):
+        assert monotone_bound_check() == 0.08578643761462576
+        assert monotone_bound_check(10.0, 0.01) == 0.08578643761462576
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=-60.0, max_value=60.0),
+        st.floats(min_value=0.75, max_value=1.25),
+    )
+    def test_ridge_scan_equals_full_grid(self, n, log_box, jitter):
+        box = 10.0 ** log_box
+        step = box / n * jitter
+        assert monotone_bound_check(box, step) == full_grid_max(box, step)
+
+    @pytest.mark.parametrize("box, step", [
+        (10.0, 0.0), (10.0, -0.01), (10.0, math.nan), (math.inf, 0.01), (math.nan, 0.01),
+        (-1.0, 0.01), (0.0, 0.01), (0.005, 0.01), (1e300, 1e-10),
+        (1e-298, 1e-300), (1e-98, 1e-100), (1e100, 1e99),
+    ])
+    def test_rejects_bad_grids(self, box, step):
+        with pytest.raises(ValueError):
+            monotone_bound_check(box, step)
+
     def test_grid_max_against_1d_reduction(self):
         got = monotone_bound_check(10.0, 0.05)
         peak = math.sqrt(2) / (2 * (4 + 3 * math.sqrt(2)))
