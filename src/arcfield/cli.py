@@ -175,6 +175,22 @@ def _config_from(args) -> RunConfig:
     )
 
 
+def _reject_unread_flags(args, cfg: RunConfig) -> None:
+    """Refuse a non-default value of a flag that the run would never read."""
+    if args.subcommand == "probe":
+        what = f"probe {args.kind}"
+        reads_mode = args.kind == "transport" and args.transfer_kind == "surjective"
+        if cfg.t_order != Fraction(DEFAULTS["t_order"]):
+            raise ConfigError(f"{what} does not read --t-order")
+        if args.kind == "unif" and cfg.trials != DEFAULTS["trials"]:
+            raise ConfigError(f"{what} does not read --trials")
+    else:
+        what = args.subcommand
+        reads_mode = what == "roots"
+    if not reads_mode and cfg.mode != DEFAULTS["mode"]:
+        raise ConfigError(f"{what} does not read --mode")
+
+
 def _parse_vars(text: str):
     names = tuple(n.strip() for n in text.split(",") if n.strip())
     if not names:
@@ -297,8 +313,7 @@ def run_probe(cfg: RunConfig, args) -> Report:
         arity = max(phi1.arity, phi2.arity)
         phi1, phi2 = (MapExpr(phi.exprs, names[:arity]) for phi in (phi1, phi2))
         box = _parse_box(args.box, arity)
-        fit = loja_fit(phi1, phi2, box, samples=cfg.trials, seed=cfg.seed,
-                       tolerance=cfg.tolerance)
+        fit = loja_fit(phi1, phi2, box, samples=cfg.trials, seed=cfg.seed)
         ok = fit.max_violation <= cfg.tolerance
         payload = {
             "kind": "loja",
@@ -432,6 +447,7 @@ def main(argv=None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from(args)
+        _reject_unread_flags(args, cfg)
         puiseux.set_ram_cap(cfg.ram_cap)
         if args.subcommand == "counterexample":
             report = run_counterexample(cfg, args.grid_box, args.grid_step)

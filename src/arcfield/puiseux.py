@@ -17,6 +17,16 @@ Every operation computes the tightest sound truncation bound, so an unknown
 coefficient is never silently reported as zero.  Coefficients are exact
 ``Fraction`` values by default; numeric mode stores 64-bit floats in the same
 structure (modes are never mixed inside one computation).
+
+Exact powers avoid Fraction arithmetic where they can, with unchanged
+results.  A positive integer power f^n of a truncated or non-monomial series
+is n - 1 products, whose bound is the binomial one, T + (n - 1) ord f.  An
+exact monomial is the exception: the general constructor reduces its ``ram``
+to the denominator of the one exponent ((5t^(11/4))^2 has ram 2), where a
+product would keep the operand's 4.  Every other exact power runs the
+binomial recurrence on integers: with e = p/q and u = sum a_j/d_j t^(j/ram),
+H[n] = h[n] (q^2 M)^n is an integer whenever d_j | M^j, so each lattice step
+is integer arithmetic and each output coefficient costs one Fraction.
 """
 
 from __future__ import annotations
@@ -356,6 +366,15 @@ class PuiseuxSeries:
         ``order`` caps the absolute truncation of the result and is mandatory
         whenever the expansion does not terminate and no truncation is
         inherited from the operand.
+
+        Exact mode takes two shortcuts with unchanged results.  A positive
+        integer power of a truncated or non-monomial series is a chain of
+        products, whose bound ord + trunc is the binomial bound
+        T + (n - 1) v.  An exact monomial keeps the general constructor,
+        which reduces ``ram`` to the denominator of its one exponent, where a
+        product would keep the operand's.  Every other exact power runs the
+        integer-lattice recurrence of ``_binomial_sum`` straight from the
+        terms of ``self``.
         """
         e = Fraction(e)
         terminates = e.denominator == 1 and e >= 0
@@ -373,10 +392,23 @@ class PuiseuxSeries:
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
             return PuiseuxSeries.one()
-        v, c, u = self._unit_part()
+        v, c = self.terms[0]
+        exact = isinstance(c, Fraction)
+        if exact:
+            if self.ram > _ram_cap:
+                raise RamificationOverflow(f"ramification {self.ram} exceeds cap {_ram_cap}")
+            monomial = len(self.terms) == 1 and self.trunc is None
+            if terminates and not monomial:
+                out = self
+                for _ in range(e.numerator - 1):
+                    out = out * self
+                return out
+        else:
+            v, c, u = self._unit_part()
+            monomial = u.is_zero()
         lead_pow = _coeff_pow(c, e)
         head_exp = e * v
-        if u.is_zero():
+        if monomial:
             return PuiseuxSeries(((head_exp, lead_pow),))
         # relative precision available for the binomial expansion; ``order``
         # only caps expansions that would otherwise be infinite
@@ -388,8 +420,14 @@ class PuiseuxSeries:
                 raise UnboundedExpansion(
                     "rational power of an exact non-monomial series needs an order"
                 )
-        body = _binomial_sum(u, e, rel)
-        return body.scale(lead_pow).shift(head_exp)
+        if not exact:
+            return _binomial_sum(u, e, rel).scale(lead_pow).shift(head_exp)
+        u = PuiseuxSeries._canonical(
+            tuple((x - v, k / c) for x, k in self.terms[1:]),
+            None if self.trunc is None else self.trunc - v,
+            self.ram,
+        )
+        return _binomial_sum(u, e, rel, lead=lead_pow, shift=head_exp)
 
     def __pow__(self, e) -> PuiseuxSeries:
         return self.pow_rational(Fraction(e))
@@ -490,13 +528,30 @@ def _coeff_pow(c, e: Fraction):
     return float_pow(c, e)
 
 
-def _binomial_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxSeries:
-    """(1 + u)^e truncated at the relative order ``rel`` (None: exact).
+def _binomial_sum(
+    u: PuiseuxSeries, e: Fraction, rel: Optional[Exp], lead=None, shift=None
+) -> PuiseuxSeries:
+    """``lead * t^shift * (1 + u)^e``, truncated at the relative order ``rel``.
 
-    The truncated case runs the first-order recurrence obtained from
-    (1 + u) h' = e u' h on the dense ramification lattice, which is
-    quadratic in the number of kept lattice points.
+    ``rel`` None asks for the exact, terminating case (e a nonnegative
+    integer).  ``lead`` and ``shift`` default to 1 and 0.  The truncated case
+    runs the first-order recurrence obtained from (1 + u) h' = e u' h on the
+    dense ramification lattice, which is quadratic in the number of kept
+    lattice points.  Exact coefficients run it on integers (``_lattice_sum``);
+    floats, and ``rel`` None, run on the coefficients themselves.
     """
+    if rel is not None and not u.is_zero() and not (
+        u.terms and isinstance(u.terms[0][1], float)
+    ):
+        out = _lattice_sum(u, e, rel, lead, shift)
+        if out is not None:
+            return out
+    body = _coefficient_sum(u, e, rel)
+    return body if lead is None else body.scale(lead).shift(shift)
+
+
+def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxSeries:
+    """``_binomial_sum`` with arithmetic on the coefficients of ``u``."""
     if u.is_zero():
         one = PuiseuxSeries.one()
         return one if rel is None else one + PuiseuxSeries.unknown(rel)
@@ -538,6 +593,95 @@ def _binomial_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxS
         h[n] = acc / n if acc else 0
     terms = tuple((Fraction(n, ram), h[n]) for n in range(n_max + 1) if h[n])
     return PuiseuxSeries._canonical(terms, rel, ram)
+
+
+# ``_lattice_sum`` declines when (q^2 M)^n would carry more than this many bits
+# beyond the growth of the true denominators.  Over 2600 random sums (ram
+# 1-24, relative order up to 32, sparse, dense and large-denominator u), a
+# cut-over at 6000 bits kept every pick within 1.9x of the faster loop; with
+# none, sparse u with large denominators ran up to 14x slower on integers.
+_LATTICE_WASTE_BITS = 6000
+
+
+def _lattice_sum(
+    u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift
+) -> Optional[PuiseuxSeries]:
+    """The truncated ``_binomial_sum`` of an exact ``u`` on integers.
+
+    Write s = t^(1/ram), u = sum a_j/d_j s^j and e = p/q, and pick M with
+    d_j | M^j for every j.  Then H[n] = h[n] (q^2 M)^n is an integer:
+    h[n] = sum_k C(e, k) [s^n] u^k, where q^(2k) C(e, k) is an integer and
+    M^n [s^n] u^k is one.  The recurrence becomes
+
+        n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
+        w_j = a_j q^(2j - 1) M^j / d_j,
+
+    with an exact division by n (none at all for e = -1, where p + q = 0),
+    and each output coefficient is one Fraction, lead H[n] / (q^2 M)^n.
+    M is built greedily from the d_j, and when only multiples of g carry
+    terms the recurrence runs in s^g.  Returns None, leaving the sum to
+    ``_coefficient_sum``, when M far outgrows the d_j.
+    """
+    ram = u.ram
+    n_max = math.ceil(rel * ram) - 1
+    p, q = e.numerator, e.denominator
+    support = []
+    g = 0
+    for x, c in u.terms:
+        j = x.numerator * (ram // x.denominator)
+        if j > n_max:
+            break
+        if j > 0:
+            support.append((j, c.numerator, c.denominator))
+            g = math.gcd(g, j)
+    # only multiples of g carry terms, so the recurrence runs in s^g
+    g = g or 1
+    n_max //= g
+    support = [(j // g, a, d) for j, a, d in support]
+    m = 1
+    for j, _a, d in support:
+        mj = m**j
+        if mj % d:
+            # afterwards d | m^j, and every earlier d_i | m^i still holds
+            m *= d // math.gcd(mj, d)
+    # the true denominators grow by at most max bits(d_j)/j bits a step
+    rate = max((d.bit_length() / j for j, _a, d in support), default=0)
+    if n_max * (m.bit_length() - rate) > _LATTICE_WASTE_BITS:
+        return None
+    w = [(j, a * q ** (2 * j - 1) * (m**j // d)) for j, a, d in support]
+    h = [1] + [0] * n_max
+    if p == -q:
+        for n in range(1, n_max + 1):
+            acc = 0
+            for j, wj in w:
+                if j > n:
+                    break
+                acc -= wj * h[n - j]
+            h[n] = acc
+    else:
+        pq = p + q
+        for n in range(1, n_max + 1):
+            acc = 0
+            qn = q * n
+            for j, wj in w:
+                if j > n:
+                    break
+                prev = h[n - j]
+                if prev:
+                    acc += (pq * j - qn) * wj * prev
+            h[n] = acc // n
+    if lead is None:
+        lead, shift = Fraction(1), Fraction(0)
+    out_ram = lcm(ram, shift.denominator)
+    step = g * (out_ram // ram)
+    base = shift.numerator * (out_ram // shift.denominator)
+    num, den, scale = lead.numerator, lead.denominator, q * q * m
+    terms = []
+    for n in range(n_max + 1):
+        if h[n]:
+            terms.append((Fraction(n * step + base, out_ram), Fraction(num * h[n], den)))
+        den *= scale
+    return PuiseuxSeries._canonical(tuple(terms), rel + shift, out_ram)
 
 
 def formal_derivative(f: PuiseuxSeries) -> PuiseuxSeries:

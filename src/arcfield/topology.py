@@ -133,15 +133,14 @@ def sample_series(rng: random.Random, spec: ArcSamplerSpec, comp: int) -> Puiseu
     q = rng.randint(1, spec.max_den)
     lo = spec.floor_exp(comp)
     start = max(math.ceil(lo * q), 0 if lo <= 0 else 1)
-    lattice = [
-        Fraction(k, q)
-        for k in range(start, spec.max_exp_num * q + 1)
-        if Fraction(k, q) >= lo
-    ]
-    if not lattice:
-        lattice = [lo]
-    count = min(rng.randint(1, spec.max_terms), len(lattice))
-    exps = sorted(rng.sample(lattice, count))
+    # draw numerators k >= lo*q; sample picks by position, so a range draws
+    # the arcs a list of the Fractions k/q would
+    ks = range(start, spec.max_exp_num * q + 1)
+    count = min(rng.randint(1, spec.max_terms), len(ks) or 1)
+    if ks:
+        exps = [Fraction(k, q) for k in sorted(rng.sample(ks, count))]
+    else:
+        exps = rng.sample([lo], 1)
     terms = []
     for j, e in enumerate(exps):
         if j == 0 and spec.unit_lead:
@@ -200,7 +199,8 @@ _FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
 def _image_ord_dist(h: MapExpr, gamma, delta, order):
     """tadic_ord_dist(h(gamma), h(delta)) with both images at working ``order``.
 
-    Returns None where evaluating an image at ``order`` raises ArcFieldError.
+    Returns None where evaluating the images at ``order``, or subtracting
+    them, raises ArcFieldError.
     The images are first evaluated at order/8, order/4 and order/2, and a
     rung's outcome is returned only when it holds at every order: a known
     leading exponent of the difference, exactly equal images, or an error
@@ -222,11 +222,12 @@ def _image_ord_dist(h: MapExpr, gamma, delta, order):
         if not isinstance(img, ZeroUpToTruncation) or img.trunc is None:
             return img
     try:
-        hg = eval_map_series(h, gamma, order=order)
-        hd = eval_map_series(h, delta, order=order)
+        return tadic_ord_dist(
+            eval_map_series(h, gamma, order=order),
+            eval_map_series(h, delta, order=order),
+        )
     except ArcFieldError:
         return None
-    return tadic_ord_dist(hg, hd)
 
 
 # -- Hoelder probe ----------------------------------------------------------------
@@ -345,7 +346,6 @@ def loja_fit(
     box: Sequence[Tuple[float, float]],
     samples: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> LojaFit:
     """Least-squares power law phi2 >= c phi1^r on a box, then shrink c.
 
@@ -554,6 +554,11 @@ def _check_surjective(h, spec, trials, seed, target, mode):
                     "surjective", tuple(render_series(s) for s in gamma)
                 )
         produced += 1
+    if produced < trials:
+        raise DegenerateData(
+            f"could only push forward {produced} of {trials} arcs "
+            f"(discarded {attempts - produced})"
+        )
     return TransferReport("surjective", produced, "pass")
 
 

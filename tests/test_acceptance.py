@@ -343,7 +343,6 @@ def test_criterion_8_loja_fit():
             [(-1.0, 1.0)],
             samples=200,
             seed=0,
-            tolerance=1e-9,
         )
         assert abs(fit.r - 3.0) <= 0.15  # within 5% of 3
         assert fit.max_violation <= 1e-9

@@ -257,3 +257,46 @@ def test_loja_functions_share_the_box():
                           "--box", "0,1;0,1", "--trials", "40", "--emit", "structured"])
     assert code in (0, 2) and not err
     assert json.loads(out)["payload"]["fit_samples"] > 0
+
+
+HOLDER = ["probe", "holder", "--map", "x^2", "--vars", "x", "--trials", "3"]
+EVAL = ["eval", "(x, y)", "--arc", "t; t"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["counterexample", "--mode", "numeric"], "--mode", id="counterexample-mode"),
+    pytest.param(EVAL + ["--mode", "numeric"], "--mode", id="eval-mode"),
+    pytest.param(HOLDER + ["--mode", "numeric"], "--mode", id="holder-mode"),
+    pytest.param(LOJA + ["--box=-1,1", "--mode", "numeric"], "--mode", id="loja-mode"),
+    pytest.param(UNIF + ["--box", "0,1", "--mode", "numeric"], "--mode", id="unif-mode"),
+    pytest.param(TRANSPORT + ["injective", "--mode", "numeric"], "--mode",
+                 id="injective-mode"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive", "--mode", "numeric"],
+                 "--mode", id="limit-additive-mode"),
+    pytest.param(HOLDER + ["--t-order", "99"], "--t-order", id="holder-t-order"),
+    pytest.param(LOJA + ["--box=-1,1", "--t-order", "4"], "--t-order", id="loja-t-order"),
+    pytest.param(UNIF + ["--box", "0,1", "--t-order", "4"], "--t-order", id="unif-t-order"),
+    pytest.param(TRANSPORT + ["surjective", "--t-order", "12"], "--t-order",
+                 id="transport-t-order"),
+    pytest.param(UNIF + ["--box", "0,1", "--trials", "0"], "--trials", id="unif-trials"),
+])
+def test_unread_flag_with_a_value_is_refused(argv, flag):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"does not read {flag}")
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    pytest.param(HOLDER, ["--t-order", "16/2", "--mode", "exact"], id="holder"),
+    pytest.param(UNIF + ["--box", "0,1"], ["--trials", "100"], id="unif"),
+])
+def test_unread_flag_at_its_default_leaves_the_report(argv, defaults):
+    code, out, err = run(argv + defaults + ["--emit", "structured"])
+    assert code == 0 and not err
+    assert out == run(argv + ["--emit", "structured"])[1]
+
+
+def test_surjective_transport_reads_mode():
+    _code, _out, err = run(TRANSPORT + ["surjective", "--trials", "2", "--mode", "numeric"])
+    assert "does not read" not in err

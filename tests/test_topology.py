@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -104,6 +105,12 @@ class TestHolder:
         est = holder_probe(map_expr((x,), ("x",)), ArcSamplerSpec(dim=1), trials=50, seed=0)
         assert est.alpha == 1
         assert est.constant_offset == 0
+
+    def test_pair_whose_image_difference_overflows_is_discarded(self):
+        # subtracting the two images at the full order exceeds the ram cap
+        h = parse_map("x^(1/11) + (x^2 + x^(5/2))^(5/3)", ("x",))
+        with pytest.raises(DegenerateData, match=r"could only evaluate 10 of 30 pairs \(discarded 1500\)"):
+            holder_probe(h, ArcSamplerSpec(dim=1), trials=30, seed=1)
 
     def test_cube_root_worst_pair(self):
         x, = variables("x")
@@ -258,6 +265,17 @@ class TestTransfer:
             transfer_check("injective", parse_map(text, ("x",)), ArcSamplerSpec(dim=1),
                            trials=trials, seed=1)
 
+    def test_injective_pair_whose_image_difference_overflows_is_discarded(self):
+        h = parse_map("x^(1/11) + (x^2 + x^(5/2))^(5/3)", ("x",))
+        with pytest.raises(DegenerateData, match=r"could only evaluate 10 of 30 pairs \(discarded 1500\)"):
+            transfer_check("injective", h, ArcSamplerSpec(dim=1), trials=30, seed=1)
+
+    def test_surjective_too_few_arcs_is_degenerate(self):
+        # a negative base under an even root: no sampled arc has an image
+        h = parse_map("(-1 - x^2)^(1/2)", ("x",))
+        with pytest.raises(DegenerateData, match="could only push forward 0 of 5 arcs"):
+            transfer_check("surjective", h, ArcSamplerSpec(dim=1), trials=5, seed=1)
+
     def test_whitney_surjective(self):
         rep = transfer_check(
             "surjective", whitney_umbrella_map(), ArcSamplerSpec(dim=2),
@@ -328,13 +346,14 @@ STRETCH_MAPS = {
 
 
 def full_order_dist(h, gamma, delta, order):
-    """Reference: both images at the working order, None when one fails."""
+    """Reference: both images at the working order, None when an image or
+    their difference fails."""
     try:
-        hg = eval_map_series(h, gamma, order=order)
-        hd = eval_map_series(h, delta, order=order)
+        return tadic_ord_dist(
+            eval_map_series(h, gamma, order=order), eval_map_series(h, delta, order=order)
+        )
     except ArcFieldError:
         return None
-    return tadic_ord_dist(hg, hd)
 
 
 def full_order_holder(h, spec, trials, seed, order=ORDER, alpha_max_den=24):
@@ -430,3 +449,52 @@ class TestImageLadder:
     def test_holder_probe_matches_full_order_stretch(self, name):
         h, spec = STRETCH_MAPS[name]
         assert holder_probe(h, spec, trials=8, seed=3) == full_order_holder(h, spec, 8, 3)
+
+
+def reference_sample_series(rng, spec, comp):
+    """The sampler as first written: every lattice exponent built as a Fraction."""
+    q = rng.randint(1, spec.max_den)
+    lo = spec.floor_exp(comp)
+    start = max(math.ceil(lo * q), 0 if lo <= 0 else 1)
+    lattice = [F(k, q) for k in range(start, spec.max_exp_num * q + 1) if F(k, q) >= lo]
+    if not lattice:
+        lattice = [lo]
+    count = min(rng.randint(1, spec.max_terms), len(lattice))
+    exps = sorted(rng.sample(lattice, count))
+    terms = []
+    for j, e in enumerate(exps):
+        if j == 0 and spec.unit_lead:
+            c = F(1 if spec.positive_lead else rng.choice((1, -1)))
+        else:
+            num = 0
+            while num == 0:
+                num = rng.randint(-spec.coeff_height, spec.coeff_height)
+            c = F(num, rng.randint(1, 4))
+            if j == 0 and spec.positive_lead:
+                c = abs(c)
+        terms.append((e, c))
+    return PuiseuxSeries(terms)
+
+
+SAMPLER_SPECS = [
+    ArcSamplerSpec(dim=1),
+    ArcSamplerSpec(dim=1, unit_lead=True),
+    ArcSamplerSpec(dim=2, min_lead_exp=(F(1), F(2))),
+    ArcSamplerSpec(dim=2, min_lead_exp=(F(0), F(-1, 2))),
+    ArcSamplerSpec(dim=2, min_lead_exp=(F(1, 3), F(9)), positive_lead=True),  # 9 > max_exp_num
+    ArcSamplerSpec(dim=3, max_exp_num=3, max_den=7, max_terms=6, coeff_height=2),
+    ArcSamplerSpec(dim=1, max_exp_num=1, max_den=12, max_terms=40),  # more terms than lattice
+]
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=range(len(SAMPLER_SPECS)))
+def test_sample_series_equals_the_fraction_lattice_sampler(spec):
+    from arcfield.topology import sample_series
+
+    for seed in range(500):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for comp in range(spec.dim):
+            got = sample_series(rng, spec, comp)
+            want = reference_sample_series(ref, spec, comp)
+            assert got == want and got.ram == want.ram
+        assert rng.getstate() == ref.getstate()
