@@ -420,13 +420,12 @@ class PuiseuxSeries:
                 raise UnboundedExpansion(
                     "rational power of an exact non-monomial series needs an order"
                 )
-        if not exact:
-            return _binomial_sum(u, e, rel).scale(lead_pow).shift(head_exp)
-        u = PuiseuxSeries._canonical(
-            tuple((x - v, k / c) for x, k in self.terms[1:]),
-            None if self.trunc is None else self.trunc - v,
-            self.ram,
-        )
+        if exact:
+            u = PuiseuxSeries._canonical(
+                tuple((x - v, k / c) for x, k in self.terms[1:]),
+                None if self.trunc is None else self.trunc - v,
+                self.ram,
+            )
         return _binomial_sum(u, e, rel, lead=lead_pow, shift=head_exp)
 
     def __pow__(self, e) -> PuiseuxSeries:
@@ -540,12 +539,9 @@ def _binomial_sum(
     lattice points.  Exact coefficients run it on integers (``_lattice_sum``);
     floats, and ``rel`` None, run on the coefficients themselves.
     """
-    if rel is not None and not u.is_zero() and not (
-        u.terms and isinstance(u.terms[0][1], float)
-    ):
-        out = _lattice_sum(u, e, rel, lead, shift)
-        if out is not None:
-            return out
+    floats = isinstance(lead, float) or (u.terms and isinstance(u.terms[0][1], float))
+    if rel is not None and not floats:
+        return _lattice_sum(u, e, rel, lead, shift)
     body = _coefficient_sum(u, e, rel)
     return body if lead is None else body.scale(lead).shift(shift)
 
@@ -595,17 +591,7 @@ def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> Puise
     return PuiseuxSeries._canonical(terms, rel, ram)
 
 
-# ``_lattice_sum`` declines when (q^2 M)^n would carry more than this many bits
-# beyond the growth of the true denominators.  Over 2600 random sums (ram
-# 1-24, relative order up to 32, sparse, dense and large-denominator u), a
-# cut-over at 6000 bits kept every pick within 1.9x of the faster loop; with
-# none, sparse u with large denominators ran up to 14x slower on integers.
-_LATTICE_WASTE_BITS = 6000
-
-
-def _lattice_sum(
-    u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift
-) -> Optional[PuiseuxSeries]:
+def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> PuiseuxSeries:
     """The truncated ``_binomial_sum`` of an exact ``u`` on integers.
 
     Write s = t^(1/ram), u = sum a_j/d_j s^j and e = p/q, and pick M with
@@ -616,11 +602,10 @@ def _lattice_sum(
         n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
         w_j = a_j q^(2j - 1) M^j / d_j,
 
-    with an exact division by n (none at all for e = -1, where p + q = 0),
-    and each output coefficient is one Fraction, lead H[n] / (q^2 M)^n.
-    M is built greedily from the d_j, and when only multiples of g carry
-    terms the recurrence runs in s^g.  Returns None, leaving the sum to
-    ``_coefficient_sum``, when M far outgrows the d_j.
+    with an exact division by n, and each output coefficient is one
+    Fraction, lead H[n] / (q^2 M)^n.  M is built greedily from the d_j, so
+    d_j = d^j gives M = d, and when only multiples of g carry terms the
+    recurrence runs in s^g.
     """
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
@@ -644,32 +629,19 @@ def _lattice_sum(
         if mj % d:
             # afterwards d | m^j, and every earlier d_i | m^i still holds
             m *= d // math.gcd(mj, d)
-    # the true denominators grow by at most max bits(d_j)/j bits a step
-    rate = max((d.bit_length() / j for j, _a, d in support), default=0)
-    if n_max * (m.bit_length() - rate) > _LATTICE_WASTE_BITS:
-        return None
     w = [(j, a * q ** (2 * j - 1) * (m**j // d)) for j, a, d in support]
     h = [1] + [0] * n_max
-    if p == -q:
-        for n in range(1, n_max + 1):
-            acc = 0
-            for j, wj in w:
-                if j > n:
-                    break
-                acc -= wj * h[n - j]
-            h[n] = acc
-    else:
-        pq = p + q
-        for n in range(1, n_max + 1):
-            acc = 0
-            qn = q * n
-            for j, wj in w:
-                if j > n:
-                    break
-                prev = h[n - j]
-                if prev:
-                    acc += (pq * j - qn) * wj * prev
-            h[n] = acc // n
+    pq = p + q
+    for n in range(1, n_max + 1):
+        acc = 0
+        qn = q * n
+        for j, wj in w:
+            if j > n:
+                break
+            prev = h[n - j]
+            if prev:
+                acc += (pq * j - qn) * wj * prev
+        h[n] = acc // n
     if lead is None:
         lead, shift = Fraction(1), Fraction(0)
     out_ram = lcm(ram, shift.denominator)

@@ -22,7 +22,7 @@ from arcfield.errors import (
     UnboundedExpansion,
     ZeroUpToTruncationError,
 )
-from arcfield.puiseux import PuiseuxSeries, _lattice_sum
+from arcfield.puiseux import PuiseuxSeries
 from arcfield.qarith import rational_pow
 
 F = Fraction
@@ -166,12 +166,10 @@ def test_integer_power_of_a_product_beyond_the_cap_overflows():
         puiseux.set_ram_cap(cap)
 
 
-def test_large_denominators_late_in_u_take_the_fraction_loop():
-    # u = t^(1/24) + t^(23/24)/999983: on the integer lattice M would be
-    # 999983, about 19 bits a step more than the true denominators need
+def test_large_denominators_late_in_u_stay_exact():
+    # u = t^(1/24) + t^(23/24)/999983: on the integer lattice M is 999983,
+    # about 19 bits a step more than the true denominators need
     f = PuiseuxSeries([(0, 1), (F(1, 24), 1), (F(23, 24), F(1, 999983))])
-    u = PuiseuxSeries._canonical(f.terms[1:], None, 24)
-    assert _lattice_sum(u, F(1, 3), F(32), None, None) is None
     got = f.pow_rational(F(1, 3), order=32)
     assert (got.terms, got.trunc, got.ram) == outcome(lambda: reference_pow(f, F(1, 3), 32))
 
@@ -179,9 +177,24 @@ def test_large_denominators_late_in_u_take_the_fraction_loop():
 def test_sparse_u_runs_on_the_coarse_lattice():
     # only multiples of 12 carry terms: the recurrence runs in t^(1/2)
     f = PuiseuxSeries([(0, F(1, 9)), (F(1, 2), F(3, 5)), (F(3, 2), F(-7, 3))], ram=24)
-    u = PuiseuxSeries._canonical(f.scale(9).terms[1:], None, 24)
-    assert _lattice_sum(u, F(1, 2), F(20), None, None) is not None
     for e in (F(-1), F(1, 2), F(-3, 2)):
         got = f.pow_rational(e, order=20)
         assert got.ram == 24
         assert (got.terms, got.trunc, got.ram) == outcome(lambda: reference_pow(f, e, 20))
+
+
+@pytest.mark.parametrize("e", [F(2), F(-1), F(1, 2), F(-1, 4), F(5, 3)])
+def test_numeric_powers_agree_with_exact_ones(e):
+    # float coefficients keep the coefficient loop; the lead 2^12 has an
+    # exact e-th power, so the exact kernel is the oracle
+    exact = PuiseuxSeries([(F(1, 2), F(4096)), (F(5, 6), F(3, 5)), (F(3, 2), F(-7, 3))], trunc=F(4))
+    numeric = PuiseuxSeries([(x, float(c)) for x, c in exact.terms], trunc=exact.trunc, ram=exact.ram)
+    want = exact.pow_rational(e, order=6)
+    got = numeric.pow_rational(e, order=6)
+    assert (got.trunc, got.ram) == (want.trunc, want.ram)
+    assert all(isinstance(c, float) for _x, c in got.terms)
+    # rounding may leave a tiny coefficient where the exact one cancels
+    got, want = dict(got.terms), dict(want.terms)
+    tol = 1e-12 * max(abs(c) for c in want.values())
+    for x in got.keys() | want.keys():
+        assert math.isclose(got.get(x, 0.0), want.get(x, 0), rel_tol=1e-9, abs_tol=tol)
