@@ -50,7 +50,10 @@ from .transport import (
     monotone_bound_check,
 )
 
-DEFAULTS = {"t_order": "8", "trials": 100, "seed": 0, "mode": "exact", "ram_cap": 64}
+DEFAULTS = {
+    "t_order": "8", "trials": 100, "seed": 0, "mode": "exact", "ram_cap": 64,
+    "tolerance": 1e-9,
+}
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     common.add_argument("--mode", choices=("exact", "numeric"), default=DEFAULTS["mode"])
     common.add_argument("--emit", choices=("text", "structured"), default="text")
-    common.add_argument("--tolerance", type=float, default=1e-9)
+    common.add_argument("--tolerance", type=float, default=DEFAULTS["tolerance"])
     common.add_argument("--ram-cap", type=int, default=DEFAULTS["ram_cap"])
 
     top = _Parser(prog="arcfield", description=__doc__)
@@ -161,8 +164,6 @@ def _config_from(args) -> RunConfig:
         raise ConfigError("t-order must be positive")
     if args.ram_cap < 1:
         raise ConfigError("ram-cap must be at least 1")
-    if args.mode == "numeric" and args.tolerance <= 0:
-        raise ConfigError("tolerance must be positive in numeric mode")
     return RunConfig(
         subcommand=args.subcommand,
         t_order=t_order,
@@ -187,8 +188,15 @@ def _reject_unread_flags(args, cfg: RunConfig) -> None:
     else:
         what = args.subcommand
         reads_mode = what == "roots"
+        # counterexample, roots and eval sample nothing
+        if cfg.seed != DEFAULTS["seed"]:
+            raise ConfigError(f"{what} does not read --seed")
+        if cfg.trials != DEFAULTS["trials"]:
+            raise ConfigError(f"{what} does not read --trials")
     if not reads_mode and cfg.mode != DEFAULTS["mode"]:
         raise ConfigError(f"{what} does not read --mode")
+    if what != "probe loja" and cfg.tolerance != DEFAULTS["tolerance"]:
+        raise ConfigError(f"{what} does not read --tolerance")
 
 
 def _parse_vars(text: str):

@@ -4,34 +4,39 @@ Each lower-hull edge of the coefficient valuations picks a candidate leading
 exponent mu, and the edge polynomial picks the leading coefficients.
 Substituting X = t^mu (c + Y) reduces to the same problem one term deeper.
 
-Edge equations in exact mode:
+Both modes run one solver on the exact coefficients.  Edge equations:
 
 * a binomial edge a0 + ak z^k (no middle terms; k = 1 is the linear edge) is
   solved by one exact k-th root of -a0/ak.  Its real roots are simple: one
-  for odd k, +-r for even k when -a0/ak > 0, none otherwise.  Real roots
-  without a rational one prove the branch irrational (IrrationalBranch);
+  for odd k, +-r for even k when -a0/ak > 0, none otherwise;
 * any other edge polynomial gets divisor search on its squarefree part, with
   a Sturm count certifying that no irrational real root was missed.
+
+A real root that is not rational makes exact mode raise IrrationalBranch.
+Numeric mode isolates it by Sturm sequences, rounds it to a 64-bit float,
+and continues that branch alone in floats (Duval's dynamic evaluation,
+"Rational Puiseux expansions", Compositio Math. 70, 1989): every other
+branch stays exact, and its coefficients become floats only in the report.
 
 A simple edge root leaves a reduced polynomial Q with ord Q1 = 0 < ord Q0
 and ord Qj >= 0, whose one root of positive order is lifted by Newton
 iteration Y <- Y - Q(Y)/Q'(Y) from Y = 0, doubling the precision each step
 (Kung & Traub, JACM 25, 1978).  Its output equals what the term-by-term
 recursion would give, knowledge bounds and TruncationExhausted included;
-shapes where that is not guaranteed, repeated edge roots and numeric mode
-(64-bit floats) keep the recursion.
+shapes where that is not guaranteed and repeated edge roots keep the
+recursion.
 
-Only real branches are produced.  Every returned branch carries a residual
-certificate: substituting it back and measuring the valuation of what is
-left, in exact arithmetic (or a float residual probe at t = 1e-3 in numeric
-mode).
+Only real branches are produced, and a polynomial of odd degree always has
+one.  Every returned branch carries a residual certificate: substituting it
+back and measuring the valuation of what is left, in exact arithmetic (or a
+float residual probe at t = 1e-3 in numeric mode).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, gcd, nextafter
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -41,10 +46,12 @@ from .errors import (
     TruncationExhausted,
 )
 from .puiseux import PuiseuxSeries, _min_bound
-from .qarith import Exp, rational_nth_root
+from .qarith import Exp, lcm, rational_nth_root
 
 NUMERIC_PROBE_T = 1e-3
 NUMERIC_RESIDUAL_TOL = 1e-9
+# a float term below this times the magnitudes summed into it is round-off
+NUMERIC_CHOP = 1e-10
 
 _ROOT_SEARCH_LIMIT = 10**14  # divisor enumeration beyond this is hopeless
 
@@ -79,9 +86,6 @@ class PolyOverSeries:
         for c in reversed(self.coeffs):
             acc = acc * x0 + _series_at(c, t0)
         return acc
-
-    def to_float(self) -> PolyOverSeries:
-        return PolyOverSeries(tuple(_float_series(c) for c in self.coeffs))
 
 
 def poly_from_roots(roots, extra=()) -> PolyOverSeries:
@@ -130,12 +134,13 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
     """All real Puiseux root branches of P up to order ``target``.
 
     Exact mode raises IrrationalBranch when a real branch exists whose edge
-    equation has no rational root; numeric mode computes float branches and
-    certifies them with a residual probe instead of a valuation bound.
+    equation has no rational root; numeric mode approximates that root and
+    the branch through it in floats, reports every branch with float
+    coefficients, and certifies it with a residual probe instead of a
+    valuation bound.  A polynomial of odd degree without a branch raises
+    NoRealBranch.
     """
     target = Fraction(target)
-    if mode == "numeric":
-        P = P.to_float()
     if P.degree < 1:
         return []
     if P.coeffs[-1].is_indeterminate_zero():
@@ -143,9 +148,14 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
     recs = _solve(list(P.coeffs), target, positive_only=False, mode=mode, depth=0)
     out = []
     for rec in recs:
-        series = PuiseuxSeries(rec.terms, trunc=rec.trunc)
-        branch = _certify(P, series, rec.mult, target, mode)
-        out.append(branch)
+        terms = rec.terms
+        if mode == "numeric":
+            terms = tuple((e, float(c)) for e, c in terms)
+        series = PuiseuxSeries(terms, trunc=rec.trunc)
+        out.append(_certify(P, series, rec.mult, target, mode))
+    if not out and P.degree % 2:
+        # a real closed field gives every odd-degree polynomial a root
+        raise NoRealBranch(f"degree {P.degree} polynomial yielded no real branch")
     out.sort(key=RootBranch.sort_key)
     return out
 
@@ -170,27 +180,6 @@ def _certify(P, series, mult, target, mode) -> RootBranch:
     return RootBranch(series, mult, certified, "exact")
 
 
-NUMERIC_CHOP = 1e-10
-
-
-def _chop(coeffs):
-    """Drop float round-off relative to the largest coefficient magnitude.
-
-    Numeric-mode transforms leave machine-epsilon residue where exact
-    arithmetic would cancel; the final residual probe remains the authority.
-    """
-    scale = 1.0
-    for c in coeffs:
-        for _e, v in c.terms:
-            scale = max(scale, abs(v))
-    tol = NUMERIC_CHOP * scale
-    out = []
-    for c in coeffs:
-        kept = tuple((e, v) for e, v in c.terms if abs(v) > tol)
-        out.append(PuiseuxSeries(kept, trunc=c.trunc, ram=c.ram) if kept != c.terms else c)
-    return out
-
-
 def _solve(coeffs, target, positive_only, mode, depth) -> List[_Branch]:
     """Branches of sum coeffs[j] Y^j = 0 known below ``target`` (t-exponent).
 
@@ -199,8 +188,6 @@ def _solve(coeffs, target, positive_only, mode, depth) -> List[_Branch]:
     """
     if depth > 4096:
         raise RuntimeError("Newton polygon recursion did not terminate")
-    if mode == "numeric":
-        coeffs = _chop(coeffs)
     out: List[_Branch] = []
 
     # Y = 0 as an exact root (multiplicity = lowest index with nonzero coeff)
@@ -273,7 +260,7 @@ def _solve(coeffs, target, positive_only, mode, depth) -> List[_Branch]:
                 continue
             shifted = _transform(coeffs, mu, c, level)
             lifted = None
-            if mult == 1 and mode == "exact":
+            if mult == 1:
                 lifted = _lift_simple_root(shifted, target - mu)
             if lifted is None:
                 subs = _solve(shifted, target - mu, True, mode, depth + 1)
@@ -321,6 +308,16 @@ def _lift_simple_root(Q, target) -> Optional[_Branch]:
     run at precisions v0, 2 v0, 4 v0, ... up to ``target`` (v0 = ord Q0),
     each one evaluated by truncated Horner on the known terms of Q.
 
+    The same steps run in floats when Q has float terms.  Q(Y) vanishes
+    below the precision Y has, so a term there is round-off and is dropped
+    (exactly, there is none); that keeps each step's bound at the doubled
+    precision.  The step Q(Y)/Q'(Y) is a long division that drops round-off
+    of exact cancellations term by term, against the magnitudes that Horner
+    on |Q_j| at |Y| gives (_float_divide).
+    Multiplying by 1/Q'(Y) instead would let that round-off grow with the
+    coefficients of 1/Q'(Y), which can grow geometrically where those of
+    the root do not.
+
     The term-by-term recursion would yield the same terms.  It knows Q(Y)
     only below B = min_j (T_j + j v0), so it raises TruncationExhausted when
     B < target, and it returns an exact root (trunc None) only when every Qj
@@ -342,7 +339,9 @@ def _lift_simple_root(Q, target) -> Optional[_Branch]:
     v0 = Q[0].terms[0][0]
     if v0 >= target:
         return _Branch((), 1, target)
-    if not _lift_keeps_leads(Q, v0):
+    if v0 <= 0 or Q[1].ord() != 0 or not _lift_keeps_leads(Q, v0):
+        # ord Q1 = 0 < ord Q0 fails only at a float root that is too close
+        # to another root for its round-off to be told apart
         return None
     bound = None
     for j, c in enumerate(Q):
@@ -354,22 +353,77 @@ def _lift_simple_root(Q, target) -> Optional[_Branch]:
         )
     known = PolyOverSeries(tuple(PuiseuxSeries(c.terms, ram=c.ram) for c in Q))
     deriv = PolyOverSeries(tuple(c.scale(j) for j, c in enumerate(known.coeffs) if j))
+    floats = _has_floats(Q)
+    if floats:
+        known_mag, deriv_mag = (
+            PolyOverSeries(tuple(_abs_series(c) for c in f.coeffs)) for f in (known, deriv)
+        )
     y = PuiseuxSeries.zero()
     prec = v0  # y agrees with the root below prec
     while prec < target:
         new = min(2 * prec, target)
         gain = new - prec
-        step = known.eval(y, order=new) * deriv.eval(y, order=gain).inv(order=gain)
+        residual = _from(known.eval(y, order=new), prec)
+        slope = deriv.eval(y, order=gain)
+        if floats:
+            y_mag = _abs_series(y)
+            step = _float_divide(
+                residual, known_mag.eval(y_mag, order=new),
+                slope, deriv_mag.eval(y_mag, order=gain), new,
+            )
+        else:
+            step = residual * slope.inv(order=gain)
         y = PuiseuxSeries((y - step).terms, ram=y.ram)
         prec = new
     # a root with terms past the target nearly always shows a residual term
     # within v0 of it, which is far cheaper to see than the exact residual
     exact = (
         bound is None
-        and not known.eval(y, order=target + v0).terms
-        and known.eval(y).is_zero()
+        and not _from(known.eval(y, order=target + v0), target).terms
+        and _from(known.eval(y), target).is_zero()
     )
     return _Branch(y.terms, 1, None if exact else target)
+
+
+def _float_divide(num, num_mag, den, den_mag, order) -> PuiseuxSeries:
+    """num / den below t^order in floats, for den with its lead at t^0.
+
+    Long division on the lattice: q_n = (num_n - sum_j den_j q_(n-j)) / den_0.
+    ``num_mag`` and ``den_mag`` bound the magnitudes summed into each term
+    of num and den.  A q_n within NUMERIC_CHOP of the magnitudes summed into
+    it is round-off of an exact zero, and is zero.
+    """
+    ram = lcm(num.ram, den.ram)
+    if not num.terms:
+        return PuiseuxSeries((), trunc=order, ram=ram)
+    d0 = den.terms[0][1]
+    den_mags = dict(den_mag.terms)
+    rest = [(int(e * ram), c, den_mags.get(e, abs(c))) for e, c in den.terms[1:]]
+    values = {int(e * ram): c for e, c in num.terms}
+    mags = {int(e * ram): m for e, m in num_mag.terms}
+    start = int(num.terms[0][0] * ram)
+    q, q_mag = {}, {}
+    for n in range(start, ceil(order * ram)):
+        v, m = values.get(n, 0.0), mags.get(n, 0.0)
+        for j, c, c_mag in rest:
+            if j > n - start:
+                break
+            if n - j in q:
+                v -= c * q[n - j]
+                m += c_mag * q_mag[n - j]
+        if abs(v) > NUMERIC_CHOP * m:
+            q[n], q_mag[n] = v / d0, m / abs(d0)
+    terms = tuple((Fraction(n, ram), v) for n, v in sorted(q.items()))
+    return PuiseuxSeries._canonical(terms, order, ram)
+
+
+def _from(f: PuiseuxSeries, e) -> PuiseuxSeries:
+    """f without its terms below t^e."""
+    if not f.terms or f.terms[0][0] >= e:
+        return f
+    return PuiseuxSeries._canonical(
+        tuple(p for p in f.terms if p[0] >= e), f.trunc, f.ram
+    )
 
 
 def _lift_keeps_leads(Q, v0) -> bool:
@@ -435,7 +489,21 @@ def _cross(o, a, b):
 
 
 def _transform(coeffs, mu, c, level):
-    """Coefficients of P(t, t^mu (c + Y)) / t^level as a polynomial in Y."""
+    """Coefficients of P(t, t^mu (c + Y)) / t^level as a polynomial in Y.
+
+    At a float edge root c, or with float coefficients, a float term smaller
+    than NUMERIC_CHOP times the sum of the magnitudes that formed it is
+    round-off of an exact cancellation (the t^0 terms of Q_0 .. Q_(m-1) at a
+    root of multiplicity m are), and is dropped.
+    """
+    out = _taylor_shift(coeffs, mu, c, level)
+    if isinstance(c, float) or _has_floats(coeffs):
+        mags = _taylor_shift([_abs_series(f) for f in coeffs], mu, abs(c), level)
+        out = [_chop(f, m) for f, m in zip(out, mags)]
+    return out
+
+
+def _taylor_shift(coeffs, mu, c, level):
     d = len(coeffs) - 1
     out = [PuiseuxSeries.zero() for _ in range(d + 1)]
     one = Fraction(1) if isinstance(c, Fraction) else 1.0
@@ -450,60 +518,137 @@ def _transform(coeffs, mu, c, level):
     return out
 
 
+def _abs_series(f: PuiseuxSeries) -> PuiseuxSeries:
+    return PuiseuxSeries._canonical(
+        tuple((e, abs(v)) for e, v in f.terms), f.trunc, f.ram
+    )
+
+
+def _has_floats(coeffs) -> bool:
+    return any(isinstance(v, float) for f in coeffs for _e, v in f.terms)
+
+
+def _chop(f: PuiseuxSeries, mag: PuiseuxSeries) -> PuiseuxSeries:
+    """f without the float terms below NUMERIC_CHOP times their magnitude
+    in ``mag``.  An exact term is never round-off."""
+    scale = dict(mag.terms)
+    kept = tuple(
+        (e, v) for e, v in f.terms
+        if not isinstance(v, float) or abs(v) > NUMERIC_CHOP * scale.get(e, 0.0)
+    )
+    return f if len(kept) == len(f.terms) else PuiseuxSeries._canonical(kept, f.trunc, f.ram)
+
+
+def numeric_difference(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """a - b, where a float term left by an exact cancellation is zero.
+
+    A float branch substituted into a map leaves such terms wherever the
+    result should agree with an exact arc, and the map's own sums leave
+    more, formed from terms that a and b no longer show.  So a float term
+    is round-off when it lies within NUMERIC_CHOP of the largest term of a
+    or b, not only of the terms at its own exponent.
+    """
+    d = a - b
+    if not _has_floats((d,)):
+        return d
+    tol = NUMERIC_CHOP * max(abs(v) for _e, v in a.terms + b.terms)
+    kept = tuple(
+        (e, v) for e, v in d.terms if not isinstance(v, float) or abs(v) > tol
+    )
+    return PuiseuxSeries._canonical(kept, d.trunc, d.ram)
+
+
 # -- edge polynomial roots ----------------------------------------------------
 
 
 def _edge_roots(edge, mode):
-    """Real nonzero roots (value, multiplicity) of sum a_k z^k from edge data."""
+    """Real nonzero roots (value, multiplicity) of sum a_k z^k from edge data.
+
+    Exact edge data gives exact rational roots and, in numeric mode only,
+    float approximations of the irrational ones.  Float edge data (below a
+    float root) is taken as the rationals the floats are, and every root of
+    it is approximated.
+    """
     deg = max(k for k, _ in edge)
-    if mode == "exact" and len(edge) == 2:
-        a = dict(edge)
-        return _binomial_roots(a[0], a[deg], deg)
-    poly = [Fraction(0) if mode == "exact" else 0.0] * (deg + 1)
+    poly = [Fraction(0)] * (deg + 1)
     for k, a in edge:
-        poly[k] = poly[k] + a
-    if mode == "exact":
-        return _rational_roots(poly)
-    return [(r, 1) for r in _float_roots(poly)]
+        poly[k] += Fraction(a)
+    if any(isinstance(a, float) for _, a in edge):
+        return _float_roots_by_multiplicity(poly)
+    if len(edge) == 2:
+        return _binomial_roots(poly[0], poly[deg], deg, mode)
+    return _rational_roots(poly, mode)
 
 
-def _binomial_roots(a0, ak, k):
+def _binomial_roots(a0, ak, k, mode):
     """Real roots of a0 + ak z^k (a0, ak nonzero), all simple, by one exact root."""
     rad = -a0 / ak
     if k % 2 == 0 and rad < 0:
         return []
     r = rational_nth_root(rad, k)
     if r is None:
-        raise IrrationalBranch("edge equation has an irrational real root")
+        if mode == "exact":
+            raise IrrationalBranch("edge equation has an irrational real root")
+        binomial = [-rad] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+        return [(x, 1) for x in _float_real_roots(binomial)]
     return [(r, 1)] if k % 2 else [(-r, 1), (r, 1)]
 
 
-def _rational_roots(poly):
+def _rational_roots(poly, mode):
     """All real roots of a rational polynomial, or IrrationalBranch.
 
     Rational candidates come from divisor search on the primitive integer
     form of the squarefree part; a Sturm count certifies that no irrational
-    real root was missed.
+    real root was missed.  Numeric mode returns the real roots that are not
+    rational as floats, and so does it for every root when the coefficients
+    are too large to search.
     """
     sf = _squarefree(poly)
-    cands = set(_candidates(_to_primitive_int(sf)))
+    try:
+        cands = set(_candidates(_to_primitive_int(sf)))
+    except IrrationalBranch:
+        if mode == "exact":
+            raise
+        cands = set()
     if sf[0] == 0:
         cands.add(Fraction(0))
     found = [cand for cand in sorted(cands) if _poly_eval_q(sf, cand) == 0]
-    real_count = _sturm_count(sf)
-    if real_count > len(found):
-        raise IrrationalBranch("edge equation has an irrational real root")
     out = []
-    for r in sorted(found):
+    rest = poly
+    for r in found:
         mult = 0
-        rem = poly
         while True:
-            q, ok = _poly_divide_linear(rem, r)
+            q, ok = _poly_divide_linear(rest, r)
             if not ok:
                 break
             mult += 1
-            rem = q
+            rest = q
         out.append((r, mult))
+    if _sturm_count(sf) > len(found):
+        if mode == "exact":
+            raise IrrationalBranch("edge equation has an irrational real root")
+        out += _float_roots_by_multiplicity(rest)
+    return out
+
+
+def _float_roots_by_multiplicity(p):
+    """Float real roots, with multiplicities, of a rational polynomial.
+
+    Musser's squarefree factorization p = prod a_i^i splits the roots by
+    multiplicity; each a_i is squarefree, so Sturm sequences isolate its
+    real roots.
+    """
+    out = []
+    d = _poly_gcd(p, _poly_derivative(p))
+    c, _r = _poly_divmod(p, d)  # a_1 a_2 ...
+    mult = 1
+    while len(c) > 1:
+        y = _poly_gcd(d, c)  # a_(mult+1) a_(mult+2) ...
+        z, _r = _poly_divmod(c, y)  # a_mult
+        out += [(x, mult) for x in _float_real_roots(z)]
+        d, _r = _poly_divmod(d, y)
+        c = y
+        mult += 1
     return out
 
 
@@ -621,76 +766,87 @@ def _divisors(n):
     return sorted(out)
 
 
-def _sturm_count(p):
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    p = _poly_norm([Fraction(c) for c in p])
-    if len(p) <= 1:
-        return 0
+def _sturm_chain(p):
     chain = [p, _poly_norm(_poly_derivative(p))]
     while chain[-1] != [0] and len(chain[-1]) > 1:
         _q, r = _poly_divmod(chain[-2], chain[-1])
         chain.append([-c for c in r])
     if chain[-1] == [0]:
         chain.pop()
-
-    def signs_at_inf(sign):
-        # sign of the polynomial at +/- infinity from its leading term
-        out = []
-        for q in chain:
-            lead = q[-1]
-            parity = 1 if (len(q) - 1) % 2 == 0 else sign
-            s = lead * parity
-            out.append(1 if s > 0 else (-1 if s < 0 else 0))
-        return out
-
-    def variations(seq):
-        seq = [s for s in seq if s != 0]
-        return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-
-    return variations(signs_at_inf(-1)) - variations(signs_at_inf(1))
+    return chain
 
 
-def _float_roots(poly):
-    """Real roots of a float polynomial: sign-change scan plus bisection."""
-    p = [float(c) for c in poly]
-    while len(p) > 1 and p[-1] == 0.0:
-        p.pop()
+def _variations(values):
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sturm_count(p):
+    """Number of distinct real roots of a squarefree rational polynomial."""
+    p = _poly_norm([Fraction(c) for c in p])
+    if len(p) <= 1:
+        return 0
+    chain = _sturm_chain(p)
+    # the signs at -infinity and +infinity are those of the leading terms
+    at_minus = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
+    return _variations(at_minus) - _variations([q[-1] for q in chain])
+
+
+def _float_real_roots(p):
+    """Real roots of a squarefree rational polynomial, as sorted floats.
+
+    Sturm sequences isolate each root in a rational interval (lo, hi], which
+    holds V(lo) - V(hi) roots, and bisection narrows it until both ends round
+    to the same float: the root rounds to it too.
+    """
+    p = _poly_norm(list(p))
     if len(p) <= 1:
         return []
+    chain = _sturm_chain(p)
 
-    def ev(x):
-        acc = 0.0
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
+    def var(x):
+        return _variations([_poly_eval_q(q, x) for q in chain])
 
-    bound = 1.0 + max(abs(c) for c in p[:-1]) / abs(p[-1])
-    n = 4096
-    xs = [-bound + 2 * bound * i / n for i in range(n + 1)]
-    roots = []
-    prev = ev(xs[0])
-    for x0, x1 in zip(xs, xs[1:]):
-        cur = ev(x1)
-        if prev == 0.0:
-            roots.append(x0)
-        elif prev * cur < 0:
-            lo, hi = x0, x1
-            flo = prev
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = ev(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-        prev = cur
-    if prev == 0.0:
-        roots.append(xs[-1])
-    return [r for r in roots if r != 0.0]
+    bound = 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])  # |root| < bound
+    out = []
+    stack = [(-bound, bound, var(-bound), var(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append(_bisect_root(p, lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = var(mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(out)
+
+
+def _bisect_root(p, lo, hi):
+    """The one root of p in (lo, hi], a simple one, rounded to a float.
+
+    Once lo and hi round to adjacent floats, the side of their midpoint on
+    which the root lies decides: bisection alone would never end at a root
+    that is that midpoint.
+    """
+    at_hi = _poly_eval_q(p, hi)
+    while at_hi and float(lo) != float(hi):
+        a, b = float(lo), float(hi)
+        if nextafter(a, b) == b:
+            mid = (Fraction(a) + Fraction(b)) / 2
+            at_mid = _poly_eval_q(p, mid)
+            if not at_mid:
+                return float(mid)
+            return a if (at_mid > 0) == (at_hi > 0) else b
+        mid = (lo + hi) / 2
+        at_mid = _poly_eval_q(p, mid)
+        if not at_mid:
+            return float(mid)
+        if (at_mid > 0) == (at_hi > 0):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 # -- helpers shared with numeric mode ------------------------------------------
@@ -716,13 +872,8 @@ def rc_witness_odd(P: PolyOverSeries, target, mode: str = "exact") -> RootBranch
     """
     if P.degree % 2 == 0:
         raise ValueError(f"degree {P.degree} is not odd")
-    branches = np_roots(P, target, mode=mode)
-    for b in branches:
-        if b.multiplicity % 2 == 1:
-            return b
-    if branches:
-        return branches[0]
-    raise NoRealBranch("odd-degree polynomial yielded no real branch")
+    branches = np_roots(P, target, mode=mode)  # not empty at odd degree
+    return next((b for b in branches if b.multiplicity % 2), branches[0])
 
 
 def sqrt_positive(f: PuiseuxSeries, target, mode: str = "exact") -> PuiseuxSeries:

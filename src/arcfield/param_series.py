@@ -20,6 +20,7 @@ from .errors import (
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
     NonPositiveValuationSubstitution,
+    RamificationOverflow,
     UnboundedExpansion,
     ZeroUpToTruncationError,
 )
@@ -29,6 +30,7 @@ from .puiseux import (
     _add_bound,
     _below,
     _min_bound,
+    get_ram_cap,
 )
 from .qarith import Exp, Rat, lcm, rational_pow, render_rat
 
@@ -192,6 +194,8 @@ class ParamSeries:
         r = ram
         for e, _ in clean:
             r = lcm(r, e.denominator)
+        if r > get_ram_cap():
+            raise RamificationOverflow(f"ramification {r} exceeds cap {get_ram_cap()}")
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "ram", r)
@@ -428,7 +432,8 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
     if n_max < 0:
-        return ParamSeries((), trunc=rel)
+        # keep u's ramification, as the plain kernel does
+        return ParamSeries((), trunc=rel, ram=ram)
     ua = {}
     for exp, c in u.terms:
         idx = int(exp * ram)

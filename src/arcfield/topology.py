@@ -40,6 +40,7 @@ from .errors import (
     NegativeBaseForEvenRoot,
 )
 from .mapexpr import MapExpr, eval_map_float, eval_map_series
+from .newton import numeric_difference
 from .param_series import DivergenceWitness, ParamSeries, divergence_witness
 from .puiseux import (
     DIVERGES,
@@ -519,17 +520,38 @@ def _check_injective(h, spec, trials, seed, order):
             discarded += 1
             continue
         produced += 1
-        if isinstance(img, ZeroUpToTruncation) and img.trunc is None:
-            witness = (
-                tuple(render_series(s) for s in gamma),
-                tuple(render_series(s) for s in delta),
-            )
-            raise CounterexampleFound("injective", witness)
+        _injective_witness(img, gamma, delta)
+        # a map symmetric in two coordinates sends an arc and its copy with
+        # those coordinates swapped to one image, which independently drawn
+        # pairs never try
+        for arc in (gamma, delta):
+            for swapped in _swapped_copies(arc):
+                if not isinstance(tadic_ord_dist(arc, swapped), ZeroUpToTruncation):
+                    _injective_witness(_image_ord_dist(h, arc, swapped, order), arc, swapped)
     if produced < trials:
         raise DegenerateData(
             f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
         )
     return TransferReport("injective", produced, "pass")
+
+
+def _injective_witness(img, gamma, delta):
+    """Raise CounterexampleFound when the images are exactly equal."""
+    if isinstance(img, ZeroUpToTruncation) and img.trunc is None:
+        witness = (
+            tuple(render_series(s) for s in gamma),
+            tuple(render_series(s) for s in delta),
+        )
+        raise CounterexampleFound("injective", witness)
+
+
+def _swapped_copies(arc):
+    """The arc with two of its coordinates exchanged, for each pair of them."""
+    for i in range(len(arc)):
+        for j in range(i + 1, len(arc)):
+            swapped = list(arc)
+            swapped[i], swapped[j] = arc[j], arc[i]
+            yield tuple(swapped)
 
 
 def _check_surjective(h, spec, trials, seed, target, mode):
@@ -548,7 +570,7 @@ def _check_surjective(h, spec, trials, seed, target, mode):
         delta = solve_preimage_arc(h, gamma, target, mode=mode)
         image = eval_map_series(h, delta, order=Fraction(target) + 2)
         for got, want in zip(image, gamma):
-            lb = (got - want).ord_lower_bound()
+            lb = numeric_difference(got, want).ord_lower_bound()
             if lb is not None and lb < target:
                 raise CounterexampleFound(
                     "surjective", tuple(render_series(s) for s in gamma)

@@ -42,7 +42,7 @@ from .mapexpr import (
     map_expr,
     variables,
 )
-from .newton import PolyOverSeries, np_roots
+from .newton import PolyOverSeries, np_roots, numeric_difference
 from .param_series import (
     DivergenceWitness,
     ParamSeries,
@@ -365,7 +365,7 @@ def _solve_components(h, gamma, assignment, target, order, mode):
         except (GuardViolation, ZeroUpToTruncationError):
             return None
         for img, want in zip(image, gamma):
-            lb = (img - want).ord_lower_bound()
+            lb = numeric_difference(img, want).ord_lower_bound()
             if lb is not None and lb < target:
                 return None
         return assignment
@@ -379,7 +379,7 @@ def _solve_components(h, gamma, assignment, target, order, mode):
         raise UnsupportedShape("system is not triangular in its unknowns")
     comp_index, var = candidates[0]
     coeffs = _poly_in_var(h.exprs[comp_index], var, assignment, order)
-    coeffs[0] = coeffs[0] - gamma[comp_index]
+    coeffs[0] = numeric_difference(coeffs[0], gamma[comp_index])
     poly = PolyOverSeries(tuple(coeffs))
     if poly.degree < 1:
         raise UnsupportedShape("component does not constrain its unknown")

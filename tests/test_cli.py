@@ -261,6 +261,7 @@ def test_loja_functions_share_the_box():
 
 HOLDER = ["probe", "holder", "--map", "x^2", "--vars", "x", "--trials", "3"]
 EVAL = ["eval", "(x, y)", "--arc", "t; t"]
+ROOTS = ["roots", "X^2 - 2*t"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -279,6 +280,24 @@ EVAL = ["eval", "(x, y)", "--arc", "t; t"]
     pytest.param(TRANSPORT + ["surjective", "--t-order", "12"], "--t-order",
                  id="transport-t-order"),
     pytest.param(UNIF + ["--box", "0,1", "--trials", "0"], "--trials", id="unif-trials"),
+    pytest.param(["counterexample", "--seed", "7"], "--seed", id="counterexample-seed"),
+    pytest.param(["counterexample", "--trials", "3"], "--trials", id="counterexample-trials"),
+    pytest.param(ROOTS + ["--seed", "1"], "--seed", id="roots-seed"),
+    pytest.param(ROOTS + ["--trials", "5"], "--trials", id="roots-trials"),
+    pytest.param(EVAL + ["--seed", "2"], "--seed", id="eval-seed"),
+    pytest.param(EVAL + ["--trials", "7"], "--trials", id="eval-trials"),
+    pytest.param(["counterexample", "--tolerance", "0.5"], "--tolerance",
+                 id="counterexample-tolerance"),
+    pytest.param(ROOTS + ["--mode", "numeric", "--tolerance", "0.5"], "--tolerance",
+                 id="roots-tolerance"),
+    pytest.param(EVAL + ["--tolerance", "1e-3"], "--tolerance", id="eval-tolerance"),
+    pytest.param(HOLDER + ["--tolerance", "0"], "--tolerance", id="holder-tolerance"),
+    pytest.param(UNIF + ["--box", "0,1", "--tolerance", "1"], "--tolerance",
+                 id="unif-tolerance"),
+    pytest.param(TRANSPORT + ["surjective", "--tolerance", "nan"], "--tolerance",
+                 id="transport-tolerance"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
+                  "--tolerance", "2"], "--tolerance", id="limit-additive-tolerance"),
 ])
 def test_unread_flag_with_a_value_is_refused(argv, flag):
     code, out, err = run(argv)
@@ -290,6 +309,9 @@ def test_unread_flag_with_a_value_is_refused(argv, flag):
 @pytest.mark.parametrize("argv, defaults", [
     pytest.param(HOLDER, ["--t-order", "16/2", "--mode", "exact"], id="holder"),
     pytest.param(UNIF + ["--box", "0,1"], ["--trials", "100"], id="unif"),
+    pytest.param(ROOTS + ["--mode", "numeric"], ["--seed", "0", "--tolerance", "0.000000001"],
+                 id="roots"),
+    pytest.param(EVAL, ["--trials", "100", "--tolerance", "1e-9"], id="eval"),
 ])
 def test_unread_flag_at_its_default_leaves_the_report(argv, defaults):
     code, out, err = run(argv + defaults + ["--emit", "structured"])
@@ -300,3 +322,16 @@ def test_unread_flag_at_its_default_leaves_the_report(argv, defaults):
 def test_surjective_transport_reads_mode():
     _code, _out, err = run(TRANSPORT + ["surjective", "--trials", "2", "--mode", "numeric"])
     assert "does not read" not in err
+
+
+def test_counterexample_flags_at_their_defaults_leave_the_report():
+    argv = ["counterexample", "--t-order", "4", "--emit", "structured"]
+    code, out, err = run(argv + ["--seed", "0", "--trials", "100", "--tolerance", "1e-9"])
+    assert code == 2 and not err
+    assert out == run(argv)[1]
+
+
+def test_loja_reads_tolerance():
+    code, out, err = run(LOJA + ["--box=-1,1", "--tolerance", "0.5", "--emit", "structured"])
+    assert code in (0, 2) and not err
+    assert json.loads(out)["config"]["tolerance"] == 0.5

@@ -3,18 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from arcfield.errors import IrrationalLeadingRoot, NonPositiveValuationSubstitution
+from arcfield import puiseux
+from arcfield.errors import (
+    IrrationalLeadingRoot,
+    NonPositiveValuationSubstitution,
+    RamificationOverflow,
+)
 from arcfield.param_series import (
     DivergenceWitness,
     LaurentEps,
     ParamSeries,
+    _param_binomial,
     divergence_witness,
     param_rows,
     render_param_series,
     select_m0n0,
     subst_bivariate_monomials,
 )
-from arcfield.puiseux import PuiseuxSeries
+from arcfield.puiseux import PuiseuxSeries, _coefficient_sum
 
 F = Fraction
 
@@ -200,3 +206,26 @@ class TestRendering:
     def test_text(self):
         p = eps_t(1, 1) + ParamSeries.unknown(4)
         assert render_param_series(p) == "e*t + O(t^4)"
+
+
+class TestRamification:
+    def test_cap_is_enforced(self):
+        cap = puiseux.get_ram_cap()
+        puiseux.set_ram_cap(8)
+        try:
+            with pytest.raises(RamificationOverflow):
+                eps_t(1, F(1, 128))
+            with pytest.raises(RamificationOverflow):
+                eps_t(0, F(1, 2)) + eps_t(1, F(1, 9))
+            assert eps_t(1, F(1, 8)).ram == 8
+        finally:
+            puiseux.set_ram_cap(cap)
+
+    @pytest.mark.parametrize("rel", [F(0), F(1, 6), F(1, 3), F(2)])
+    def test_binomial_keeps_ram_as_the_plain_kernel_does(self, rel):
+        # u = t^(1/3): an order with no lattice point below it keeps ram 3
+        u = eps_t(1, F(1, 3))
+        plain = _coefficient_sum(PuiseuxSeries.t_power(F(1, 3)), F(1, 2), rel)
+        got = _param_binomial(u, F(1, 2), rel)
+        assert got.ram == plain.ram == 3
+        assert got.trunc == plain.trunc == rel

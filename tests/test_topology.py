@@ -270,6 +270,19 @@ class TestTransfer:
         with pytest.raises(DegenerateData, match=r"could only evaluate 10 of 30 pairs \(discarded 1500\)"):
             transfer_check("injective", h, ArcSamplerSpec(dim=1), trials=30, seed=1)
 
+    def test_injective_tries_coordinate_swapped_arcs(self):
+        # (x + y, x*y) is symmetric: an arc and its swapped copy share an image
+        h = parse_map("(x + y, x*y)", ("x", "y"))
+        with pytest.raises(CounterexampleFound) as info:
+            transfer_check("injective", h, ArcSamplerSpec(dim=2), trials=100, seed=0)
+        gamma, delta = info.value.witness
+        assert gamma != delta and delta == gamma[::-1]
+
+    def test_injective_map_without_symmetry_still_passes(self):
+        h = parse_map("(x, y^3)", ("x", "y"))
+        rep = transfer_check("injective", h, ArcSamplerSpec(dim=2), trials=30, seed=0)
+        assert rep.status == "pass" and rep.trials == 30
+
     def test_surjective_too_few_arcs_is_degenerate(self):
         # a negative base under an even root: no sampled arc has an image
         h = parse_map("(-1 - x^2)^(1/2)", ("x",))
