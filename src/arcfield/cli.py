@@ -183,8 +183,12 @@ def _reject_unread_flags(args, cfg: RunConfig) -> None:
         reads_mode = args.kind == "transport" and args.transfer_kind == "surjective"
         if cfg.t_order != Fraction(DEFAULTS["t_order"]):
             raise ConfigError(f"{what} does not read --t-order")
-        if args.kind == "unif" and cfg.trials != DEFAULTS["trials"]:
-            raise ConfigError(f"{what} does not read --trials")
+        if args.kind == "unif":
+            # the grid probe samples nothing
+            if cfg.seed != DEFAULTS["seed"]:
+                raise ConfigError(f"{what} does not read --seed")
+            if cfg.trials != DEFAULTS["trials"]:
+                raise ConfigError(f"{what} does not read --trials")
     else:
         what = args.subcommand
         reads_mode = what == "roots"

@@ -29,6 +29,7 @@ from .puiseux import (
     ZeroUpToTruncation,
     _add_bound,
     _below,
+    _lattice_base,
     _min_bound,
     get_ram_cap,
 )
@@ -54,6 +55,13 @@ class LaurentEps:
 
     def __setattr__(self, *_args):
         raise AttributeError("LaurentEps is immutable")
+
+    @classmethod
+    def _canonical(cls, terms: tuple) -> LaurentEps:
+        """Wrap terms that are already canonical: sorted, nonzero, int exponents."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def constant(cls, c) -> LaurentEps:
@@ -414,7 +422,23 @@ def _coerce_param(x) -> ParamSeries:
 
 
 def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
-    """(1 + u)^e over the parametric ring; same recurrence as the plain kernel."""
+    """(1 + u)^e over the parametric ring, truncated at the relative order ``rel``.
+
+    ``rel`` None asks for the exact, terminating case (e a nonnegative
+    integer).  The truncated case is ``puiseux._lattice_sum`` with Laurent
+    rows in place of rational coefficients.  Write s = t^(1/ram),
+    u = sum A_j(e)/d_j s^j with A_j integer Laurent polynomials and d_j the
+    lcm of row j's denominators, and e = p/q, and pick M with d_j | M^j for
+    every j.  Then every coefficient of H[n] = h[n] (q^2 M)^n is an integer,
+    and the recurrence from (1 + u) h' = e u' h becomes
+
+        n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
+        w_j = q^(2j - 1) (M^j / d_j) A_j,
+
+    a product of integer Laurent rows with an exact division by n.  Each
+    output coefficient is one Fraction, H[n][k] / (q^2 M)^n.  When only
+    multiples of g carry terms the recurrence runs in s^g.
+    """
     if u.is_zero():
         one = ParamSeries.one()
         return one if rel is None else one + ParamSeries.unknown(rel)
@@ -434,26 +458,54 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
     if n_max < 0:
         # keep u's ramification, as the plain kernel does
         return ParamSeries((), trunc=rel, ram=ram)
-    ua = {}
-    for exp, c in u.terms:
-        idx = int(exp * ram)
-        if 0 < idx <= n_max:
-            ua[idx] = c
-    support = sorted(ua)
-    zero = LaurentEps()
-    h = [zero] * (n_max + 1)
-    h[0] = LaurentEps.constant(1)
-    e1 = e + 1
+    p, q = e.numerator, e.denominator
+    support = []
+    g = 0
+    for x, c in u.terms:
+        j = x.numerator * (ram // x.denominator)
+        if j > n_max:
+            break
+        if j > 0:
+            d = 1
+            for _k, a in c.terms:
+                d = lcm(d, a.denominator)
+            row = [(k, a.numerator * (d // a.denominator)) for k, a in c.terms]
+            support.append((j, row, d))
+            g = math.gcd(g, j)
+    # only multiples of g carry terms, so the recurrence runs in s^g
+    g = g or 1
+    n_max //= g
+    support = [(j // g, row, d) for j, row, d in support]
+    m = _lattice_base((j, d) for j, _row, d in support)
+    w = []
+    for j, row, d in support:
+        f = q ** (2 * j - 1) * (m**j // d)
+        w.append((j, [(k, a * f) for k, a in row]))
+    h = [{0: 1}] + [None] * n_max
+    pq = p + q
     for n in range(1, n_max + 1):
-        acc = zero
-        for j in support:
+        acc = {}
+        qn = q * n
+        for j, wj in w:
             if j > n:
                 break
             prev = h[n - j]
-            if not prev.is_zero():
-                acc = acc + (ua[j] * prev) * ((e1 * j - n) / n)
-        h[n] = acc
-    terms = [(Fraction(n, ram), h[n]) for n in range(n_max + 1) if not h[n].is_zero()]
+            if prev:
+                f = pq * j - qn
+                for k2, b in prev.items():
+                    fb = f * b
+                    for k1, a in wj:
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + a * fb
+        h[n] = {k: c // n for k, c in acc.items() if c}
+    scale = q * q * m
+    den = 1
+    terms = []
+    for n, row in enumerate(h):
+        if row:
+            coeff = tuple((k, Fraction(row[k], den)) for k in sorted(row))
+            terms.append((Fraction(n * g, ram), LaurentEps._canonical(coeff)))
+        den *= scale
     return ParamSeries(terms, trunc=rel, ram=ram)
 
 

@@ -295,6 +295,8 @@ class PuiseuxSeries:
         b2 = _add_bound(other.ord_lower_bound(), self.trunc)
         trunc = _min_bound(b1, b2)
         ram = lcm(self.ram, other.ram)
+        if ram > _ram_cap:
+            raise RamificationOverflow(f"ramification {ram} exceeds cap {_ram_cap}")
         fa = ram // self.ram
         fb = ram // other.ram
         a = [(e.numerator * (self.ram // e.denominator) * fa, c) for e, c in self.terms]
@@ -623,12 +625,7 @@ def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> Puiseu
     g = g or 1
     n_max //= g
     support = [(j // g, a, d) for j, a, d in support]
-    m = 1
-    for j, _a, d in support:
-        mj = m**j
-        if mj % d:
-            # afterwards d | m^j, and every earlier d_i | m^i still holds
-            m *= d // math.gcd(mj, d)
+    m = _lattice_base((j, d) for j, _a, d in support)
     w = [(j, a * q ** (2 * j - 1) * (m**j // d)) for j, a, d in support]
     h = [1] + [0] * n_max
     pq = p + q
@@ -654,6 +651,18 @@ def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> Puiseu
             terms.append((Fraction(n * step + base, out_ram), Fraction(num * h[n], den)))
         den *= scale
     return PuiseuxSeries._canonical(tuple(terms), rel + shift, out_ram)
+
+
+def _lattice_base(powers) -> int:
+    """An M with d | M^j for every (j, d) in ``powers``, built greedily in
+    increasing j, so that d_j = d^j gives M = d."""
+    m = 1
+    for j, d in powers:
+        mj = m**j
+        if mj % d:
+            # afterwards d | m^j, and every earlier d_i | m^i still holds
+            m *= d // math.gcd(mj, d)
+    return m
 
 
 def formal_derivative(f: PuiseuxSeries) -> PuiseuxSeries:

@@ -280,6 +280,7 @@ ROOTS = ["roots", "X^2 - 2*t"]
     pytest.param(TRANSPORT + ["surjective", "--t-order", "12"], "--t-order",
                  id="transport-t-order"),
     pytest.param(UNIF + ["--box", "0,1", "--trials", "0"], "--trials", id="unif-trials"),
+    pytest.param(UNIF + ["--box", "0,1", "--seed", "5"], "--seed", id="unif-seed"),
     pytest.param(["counterexample", "--seed", "7"], "--seed", id="counterexample-seed"),
     pytest.param(["counterexample", "--trials", "3"], "--trials", id="counterexample-trials"),
     pytest.param(ROOTS + ["--seed", "1"], "--seed", id="roots-seed"),
@@ -308,7 +309,7 @@ def test_unread_flag_with_a_value_is_refused(argv, flag):
 
 @pytest.mark.parametrize("argv, defaults", [
     pytest.param(HOLDER, ["--t-order", "16/2", "--mode", "exact"], id="holder"),
-    pytest.param(UNIF + ["--box", "0,1"], ["--trials", "100"], id="unif"),
+    pytest.param(UNIF + ["--box", "0,1"], ["--trials", "100", "--seed", "0"], id="unif"),
     pytest.param(ROOTS + ["--mode", "numeric"], ["--seed", "0", "--tolerance", "0.000000001"],
                  id="roots"),
     pytest.param(EVAL, ["--trials", "100", "--tolerance", "1e-9"], id="eval"),

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arcfield import puiseux
 from arcfield.errors import (
@@ -229,3 +231,78 @@ class TestRamification:
         got = _param_binomial(u, F(1, 2), rel)
         assert got.ram == plain.ram == 3
         assert got.trunc == plain.trunc == rel
+
+
+def reference_param_binomial(u, e, rel):
+    """The truncated recurrence of (1 + u) h' = e u' h on LaurentEps rows."""
+    ram = u.ram
+    n_max = math.ceil(rel * ram) - 1
+    if n_max < 0:
+        return ParamSeries((), trunc=rel, ram=ram)
+    ua = {}
+    for exp, c in u.terms:
+        idx = int(exp * ram)
+        if 0 < idx <= n_max:
+            ua[idx] = c
+    zero = LaurentEps()
+    h = [zero] * (n_max + 1)
+    h[0] = LaurentEps.constant(1)
+    for n in range(1, n_max + 1):
+        acc = zero
+        for j, a in ua.items():
+            if j <= n:
+                acc = acc + (a * h[n - j]) * (((e + 1) * j - n) / n)
+        h[n] = acc
+    terms = [(F(n, ram), h[n]) for n in range(n_max + 1) if not h[n].is_zero()]
+    return ParamSeries(terms, trunc=rel, ram=ram)
+
+
+BINOMIAL_EXPONENTS = [F(2), F(3), F(-1), F(-2), F(5, 3), F(-2, 3)] + [
+    F(s, q) for s in (1, -1) for q in (2, 3, 4, 7)
+]
+NONZERO = st.integers(min_value=-9, max_value=9).filter(bool)
+
+
+@st.composite
+def laurent_rows(draw):
+    """A nonzero LaurentEps of 1-3 terms with parameter powers -3..3."""
+    powers = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                           max_size=3, unique=True))
+    return LaurentEps({k: F(draw(NONZERO), draw(st.integers(1, 6))) for k in powers})
+
+
+@st.composite
+def binomial_cases(draw):
+    """(u, e, rel): ram 1-24 and a relative order from 0 to 6."""
+    ram = draw(st.integers(min_value=1, max_value=24))
+    offsets = draw(st.lists(st.integers(min_value=1, max_value=6 * ram), min_size=1,
+                            max_size=4, unique=True))
+    u = ParamSeries([(F(k, ram), draw(laurent_rows())) for k in offsets], ram=ram)
+    e = draw(st.sampled_from(BINOMIAL_EXPONENTS))
+    den = draw(st.sampled_from((1, 2, 3, ram)))
+    rel = F(draw(st.integers(min_value=0, max_value=6 * den)), den)
+    return u, e, rel
+
+
+# (1 + 2 e t + e^2 t^2)^(1/2) = 1 + e t: every row past t^1 sums to zero
+SQUARE = ParamSeries([(F(1), LaurentEps({1: F(2)})), (F(2), LaurentEps({2: F(1)}))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_cases())
+@example((SQUARE, F(1, 2), F(6)))
+@example((eps_t(-1, F(1, 3)), F(-1, 2), F(0)))  # no lattice point: n_max < 0
+def test_param_binomial_matches_the_laurent_recurrence(case):
+    u, e, rel = case
+    got = _param_binomial(u, e, rel)
+    ref = reference_param_binomial(u, e, rel)
+    assert (got.terms, got.trunc, got.ram) == (ref.terms, ref.trunc, ref.ram)
+
+
+def test_param_binomial_rows_that_cancel():
+    assert _param_binomial(SQUARE, F(1, 2), F(6)) == eps_t(0, 0) + eps_t(1, 1) + ParamSeries.unknown(6)
+    # in (1 + (e + 1/e) t - t^2)^2 the e^0 part of the t^2 row cancels
+    u = ParamSeries([(F(1), LaurentEps({1: F(1), -1: F(1)})), (F(2), LaurentEps({0: F(-1)}))])
+    got = _param_binomial(u, F(2), F(3))
+    assert got.coeff(2) == LaurentEps({-2: F(1), 2: F(1)})
+    assert got.terms == reference_param_binomial(u, F(2), F(3)).terms

@@ -26,6 +26,7 @@ from arcfield.puiseux import (
     PuiseuxSeries,
     ZeroUpToTruncation,
     formal_derivative,
+    get_ram_cap,
     render_series,
     reparam_inverse,
     set_ram_cap,
@@ -291,6 +292,15 @@ class TestStructure:
                 t.shift(F(1, 9))
         finally:
             set_ram_cap(64)
+
+    def test_ram_cap_bounds_products(self):
+        cap = get_ram_cap()
+        set_ram_cap(8)
+        try:
+            with pytest.raises(RamificationOverflow):
+                PuiseuxSeries.t_power(F(1, 8)) * PuiseuxSeries.t_power(F(1, 3))
+        finally:
+            set_ram_cap(cap)
 
     def test_numeric_scale_drops_underflow(self):
         tiny = PuiseuxSeries(((F(1), 1e-200), (F(2), 1.0)))

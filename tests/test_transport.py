@@ -22,6 +22,7 @@ from arcfield.transport import (
     blowup_map,
     chart_factor_coefficients,
     chart_factor_product,
+    chart_factor_series,
     chart_lift_maps,
     counterexample_pushforward,
     eval_map_on_arc,
@@ -181,6 +182,17 @@ class TestPushforwardPipeline:
     def test_order_seven_adds_next_term(self):
         r = counterexample_pushforward(7)
         assert r.image[0].coeff(5) == LaurentEps({-3: F(-11, 32)})
+
+    @pytest.mark.parametrize("order", [8, 32, 96])
+    def test_image_is_the_rescaled_plain_factor(self, order):
+        # homogeneity: the first image component is e t F1(t/e), so each
+        # term c v^n of the plain-kernel F1 lands at c e^(1-n) t^(n+1)
+        f1 = chart_factor_series(order)[0]
+        expect = ParamSeries(
+            [(n + 1, LaurentEps({1 - int(n): c})) for n, c in f1.terms if n + 1 < order],
+            trunc=order,
+        )
+        assert counterexample_pushforward(order).image[0] == expect
 
     def test_minimum_order_enforced(self):
         with pytest.raises(ValueError):
