@@ -50,9 +50,29 @@ from .transport import (
     monotone_bound_check,
 )
 
+# Defaults of the flags that some run does not read.  Such a flag must keep
+# its default on every run that READS does not list it for.
 DEFAULTS = {
-    "t_order": "8", "trials": 100, "seed": 0, "mode": "exact", "ram_cap": 64,
-    "tolerance": 1e-9,
+    "t_order": "8", "trials": 100, "seed": 0, "mode": "exact", "tolerance": 1e-9,
+    "map_text": None, "phi1": None, "phi2": None, "box": "-1,1", "epsilon": 0.1,
+    "grid_step": 0.01, "transfer_kind": "injective", "min_ord": "", "unit_lead": False,
+    "target": None,
+}
+READS = {
+    "counterexample": {"t_order", "grid_step"},
+    "roots": {"t_order", "mode"},
+    "eval": {"t_order", "map_text"},
+    "probe holder": {"trials", "seed", "map_text", "min_ord", "unit_lead"},
+    "probe loja": {"trials", "seed", "tolerance", "phi1", "phi2", "box"},
+    "probe unif": {"map_text", "box", "epsilon", "grid_step"},
+    "probe transport injective": {
+        "trials", "seed", "map_text", "transfer_kind", "min_ord", "unit_lead",
+    },
+    "probe transport surjective": {
+        "trials", "seed", "mode", "map_text", "transfer_kind", "min_ord", "unit_lead", "target",
+    },
+    # the sampled arcs have order floor 0 and free leads; the map gives their dimension
+    "probe transport limit_additive": {"trials", "seed", "map_text", "transfer_kind"},
 }
 
 
@@ -121,7 +141,7 @@ def build_parser() -> _Parser:
     common.add_argument("--mode", choices=("exact", "numeric"), default=DEFAULTS["mode"])
     common.add_argument("--emit", choices=("text", "structured"), default="text")
     common.add_argument("--tolerance", type=float, default=DEFAULTS["tolerance"])
-    common.add_argument("--ram-cap", type=int, default=DEFAULTS["ram_cap"])
+    common.add_argument("--ram-cap", type=int, default=puiseux.DEFAULT_RAM_CAP)
 
     top = _Parser(prog="arcfield", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
@@ -138,12 +158,13 @@ def build_parser() -> _Parser:
     pr.add_argument("--vars", default="x,y", help="comma-separated input variables")
     pr.add_argument("--phi1", help="loja: lower function")
     pr.add_argument("--phi2", help="loja: upper function")
-    pr.add_argument("--box", default="-1,1", help="box as lo,hi[;lo,hi...]")
-    pr.add_argument("--epsilon", type=float, default=0.1)
-    pr.add_argument("--grid-step", type=float, default=0.01)
+    pr.add_argument("--box", default=DEFAULTS["box"], help="box as lo,hi[;lo,hi...]")
+    pr.add_argument("--epsilon", type=float, default=DEFAULTS["epsilon"])
+    pr.add_argument("--grid-step", type=float, default=DEFAULTS["grid_step"])
     pr.add_argument("--transfer-kind", choices=("injective", "surjective", "limit_additive"),
-                    default="injective")
-    pr.add_argument("--min-ord", default="", help="per-component order floor, e.g. 1,2")
+                    default=DEFAULTS["transfer_kind"])
+    pr.add_argument("--min-ord", default=DEFAULTS["min_ord"],
+                    help="per-component order floor, e.g. 1,2")
     pr.add_argument("--unit-lead", action="store_true",
                     help="sample arcs with leading coefficient +-1")
     pr.add_argument("--target", default=None, help="residual order for transport checks")
@@ -178,29 +199,21 @@ def _config_from(args) -> RunConfig:
 
 def _reject_unread_flags(args, cfg: RunConfig) -> None:
     """Refuse a non-default value of a flag that the run would never read."""
-    if args.subcommand == "probe":
-        what = f"probe {args.kind}"
-        reads_mode = args.kind == "transport" and args.transfer_kind == "surjective"
-        if cfg.t_order != Fraction(DEFAULTS["t_order"]):
-            raise ConfigError(f"{what} does not read --t-order")
-        if args.kind == "unif":
-            # the grid probe samples nothing
-            if cfg.seed != DEFAULTS["seed"]:
-                raise ConfigError(f"{what} does not read --seed")
-            if cfg.trials != DEFAULTS["trials"]:
-                raise ConfigError(f"{what} does not read --trials")
-    else:
-        what = args.subcommand
-        reads_mode = what == "roots"
-        # counterexample, roots and eval sample nothing
-        if cfg.seed != DEFAULTS["seed"]:
-            raise ConfigError(f"{what} does not read --seed")
-        if cfg.trials != DEFAULTS["trials"]:
-            raise ConfigError(f"{what} does not read --trials")
-    if not reads_mode and cfg.mode != DEFAULTS["mode"]:
-        raise ConfigError(f"{what} does not read --mode")
-    if what != "probe loja" and cfg.tolerance != DEFAULTS["tolerance"]:
-        raise ConfigError(f"{what} does not read --tolerance")
+    run = args.subcommand
+    if run == "probe":
+        run += f" {args.kind}"
+        if args.kind == "transport":
+            run += f" {args.transfer_kind}"
+    # compare --t-order by value, so that 16/2 is the default 8
+    given = dict(vars(args), t_order=render_rat(cfg.t_order))
+    for dest, default in DEFAULTS.items():
+        if dest in given and dest not in READS[run] and given[dest] != default:
+            flag = "--map" if dest == "map_text" else "--" + dest.replace("_", "-")
+            raise ConfigError(f"{run} does not read {flag}")
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 def _parse_vars(text: str):
@@ -288,6 +301,11 @@ def _sampler_spec(arity: int, args) -> ArcSamplerSpec:
     floors = ()
     if args.min_ord:
         floors = tuple(_fraction(x) for x in args.min_ord.split(","))
+        if not all(f > 0 for f in floors):
+            raise ConfigError(f"--min-ord {args.min_ord}: every order floor must be positive")
+        if len(floors) != arity:
+            raise ConfigError(f"--min-ord has {_count(len(floors), 'floor')}, "
+                              f"the map takes {arity}")
     return ArcSamplerSpec(
         dim=arity,
         unit_lead=args.unit_lead,
@@ -420,6 +438,8 @@ def run_roots(cfg: RunConfig, poly_text: str) -> Report:
 def run_eval(cfg: RunConfig, map_text: str, arc_text: str, vars_text: str) -> Report:
     m = _pruned_map(_expand_at(map_text), _parse_vars(vars_text))
     comps = tuple(parse_series(chunk) for chunk in _expand_at(arc_text).split(";"))
+    if len(comps) != m.arity:
+        raise ConfigError(f"arc has {_count(len(comps), 'component')}, the map takes {m.arity}")
     image = eval_map_on_arc(m, comps, order=cfg.t_order)
     payload = {
         "map": map_text,

@@ -7,9 +7,9 @@ component expressions of a vector map with its input variable names.
 Evaluation targets:
 
 * floats (grids and numeric probes), with division and even-root guards;
-* series rings (PuiseuxSeries or ParamSeries components, via duck typing),
-  where guards are decided by leading-sign analysis: a series is positive
-  near 0+ exactly when its leading coefficient is positive;
+* series rings (PuiseuxSeries or its ParamSeries subclass), where guards
+  are decided by leading-sign analysis (``is_lead_positive``): a series is
+  positive near 0+ exactly when its leading coefficient is positive;
 * symbolic differentiation, producing new expression trees.
 """
 
@@ -254,17 +254,10 @@ def eval_series(expr: Expr, comps, order=None):
     if isinstance(expr, Pow):
         base = eval_series(expr.base, comps, order)
         e = expr.exponent
-        if e.denominator % 2 == 0 and not _lead_positive(base):
+        if e.denominator % 2 == 0 and not base.is_lead_positive():
             raise GuardViolation("even root of a series not positive near 0+")
         return base.pow_rational(e, order=order)
     raise TypeError(f"unknown node {type(expr).__name__}")
-
-
-def _lead_positive(series) -> bool:
-    if hasattr(series, "is_lead_positive"):
-        return series.is_lead_positive()
-    lead = series.lead()
-    return lead is not None and lead[1] > 0
 
 
 def eval_map_series(m: MapExpr, comps, order=None) -> tuple:

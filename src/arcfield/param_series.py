@@ -1,12 +1,14 @@
-"""Series in t whose coefficients are Laurent polynomials in a parameter.
+"""The Puiseux kernel over Laurent polynomials in ``e``.
 
 This is the exact vehicle for one-parameter families of arcs: a
-``ParamSeries`` is a truncated series in t, and each t-coefficient is a
-``LaurentEps``, a finite Laurent polynomial in the family parameter (written
-``e`` in reports).  Convergence of the family as the parameter goes to 0 is
-decided coefficientwise: a t-coefficient carrying a negative parameter power
-is unbounded, and the lowest such t-exponent is recorded as a
-``DivergenceWitness``.
+``ParamSeries`` is a ``PuiseuxSeries`` whose t-coefficients are
+``LaurentEps`` values, finite Laurent polynomials in the family parameter
+(written ``e`` in reports).  The series arithmetic is the kernel's own; the
+subclass only says how scalars enter the ring and keeps ``pow_rational``,
+because a lead that is not a parameter monomial is not a unit.  Convergence
+of the family as the parameter goes to 0 is decided coefficientwise: a
+t-coefficient carrying a negative parameter power is unbounded, and the
+lowest such t-exponent is recorded as a ``DivergenceWitness``.
 """
 
 from __future__ import annotations
@@ -19,20 +21,9 @@ from typing import Optional
 from .errors import (
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
-    NonPositiveValuationSubstitution,
-    RamificationOverflow,
-    UnboundedExpansion,
     ZeroUpToTruncationError,
 )
-from .puiseux import (
-    PuiseuxSeries,
-    ZeroUpToTruncation,
-    _add_bound,
-    _below,
-    _lattice_base,
-    _min_bound,
-    get_ram_cap,
-)
+from .puiseux import PuiseuxSeries, _coefficient_sum, _lattice_base, _render_exp
 from .qarith import Exp, Rat, lcm, rational_pow, render_rat
 
 
@@ -73,6 +64,9 @@ class LaurentEps:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -178,169 +172,34 @@ class DivergenceWitness:
             raise ValueError("witness coefficient must be nonzero")
 
 
-class ParamSeries:
+class ParamSeries(PuiseuxSeries):
     """Truncated series in t with LaurentEps coefficients.
 
-    Same truncation discipline as PuiseuxSeries: ``trunc`` is an exclusive
-    knowledge bound, None meaning exact.
+    The kernel's ring operations, truncation discipline and ramification cap
+    apply unchanged; ``int`` and ``Fraction`` values enter as constant
+    Laurent polynomials.
     """
 
-    __slots__ = ("ram", "terms", "trunc")
+    __slots__ = ()
 
-    def __init__(self, terms=(), trunc=None, ram: int = 1):
-        if trunc is not None and not isinstance(trunc, Fraction):
-            trunc = Fraction(trunc)
-        acc = {}
-        for e, c in terms:
-            if not isinstance(e, Fraction):
-                e = Fraction(e)
-            c = _coerce_eps(c)
-            if not _below(e, trunc):
-                continue
-            acc[e] = acc.get(e, LaurentEps()) + c
-        clean = tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-        r = ram
-        for e, _ in clean:
-            r = lcm(r, e.denominator)
-        if r > get_ram_cap():
-            raise RamificationOverflow(f"ramification {r} exceeds cap {get_ram_cap()}")
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "ram", r)
+    _lifted = (int, Fraction)
+    _lift = staticmethod(LaurentEps.constant)
+    _scalars = (int, Fraction, LaurentEps)
 
-    def __setattr__(self, *_args):
-        raise AttributeError("ParamSeries is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> ParamSeries:
-        return cls()
-
-    @classmethod
-    def one(cls) -> ParamSeries:
-        return cls(((Fraction(0), LaurentEps.constant(1)),))
-
-    @classmethod
-    def constant(cls, c) -> ParamSeries:
-        return cls(((Fraction(0), _coerce_eps(c)),))
+    # named in this class too: the benchmark's tracer wraps the class's own attributes
+    __mul__ = __rmul__ = PuiseuxSeries.__mul__
 
     @classmethod
     def term(cls, t_exp, coeff) -> ParamSeries:
-        return cls(((Fraction(t_exp), _coerce_eps(coeff)),))
+        return cls(((Fraction(t_exp), coeff),))
 
     @classmethod
     def eps_t(cls, eps_exp: int, t_exp, c=Fraction(1)) -> ParamSeries:
         """The monomial c * eps^eps_exp * t^t_exp."""
         return cls(((Fraction(t_exp), LaurentEps.eps_power(eps_exp, c)),))
 
-    @classmethod
-    def unknown(cls, trunc) -> ParamSeries:
-        return cls((), trunc=Fraction(trunc))
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.trunc is None
-
-    def lead(self):
-        return self.terms[0] if self.terms else None
-
-    def ord(self):
-        if self.terms:
-            return self.terms[0][0]
-        return ZeroUpToTruncation(self.trunc)
-
-    def ord_lower_bound(self):
-        if self.terms:
-            return self.terms[0][0]
-        return self.trunc
-
-    def coeff(self, e) -> LaurentEps:
-        e = Fraction(e)
-        if not _below(e, self.trunc):
-            raise ZeroUpToTruncationError(self.trunc, f"coefficient at {e} unknown")
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return LaurentEps()
-
-    def truncate(self, order) -> ParamSeries:
-        t = _min_bound(self.trunc, None if order is None else Fraction(order))
-        if t == self.trunc:
-            return self
-        return ParamSeries(self.terms, trunc=t, ram=self.ram)
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
-
-    def __hash__(self):
-        return hash((self.terms, self.trunc))
-
-    def __repr__(self):
-        return f"ParamSeries({render_param_series(self)})"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self) -> ParamSeries:
-        return ParamSeries(
-            tuple((e, -c) for e, c in self.terms), trunc=self.trunc, ram=self.ram
-        )
-
-    def __add__(self, other) -> ParamSeries:
-        other = _coerce_param(other)
-        trunc = _min_bound(self.trunc, other.trunc)
-        return ParamSeries(self.terms + other.terms, trunc=trunc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> ParamSeries:
-        return self + (-_coerce_param(other))
-
-    def __rsub__(self, other) -> ParamSeries:
-        return _coerce_param(other) + (-self)
-
-    def __mul__(self, other) -> ParamSeries:
-        other = _coerce_param(other)
-        b1 = _add_bound(self.ord_lower_bound(), other.trunc)
-        b2 = _add_bound(other.ord_lower_bound(), self.trunc)
-        trunc = _min_bound(b1, b2)
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if _below(e, trunc):
-                    acc[e] = acc.get(e, LaurentEps()) + c1 * c2
-        return ParamSeries(acc.items(), trunc=trunc)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> ParamSeries:
-        c = _coerce_eps(c)
-        if c.is_zero():
-            return ParamSeries((), trunc=self.trunc)
-        return ParamSeries(
-            tuple((e, c * k) for e, k in self.terms), trunc=self.trunc, ram=self.ram
-        )
-
-    def shift(self, e) -> ParamSeries:
-        e = Fraction(e)
-        return ParamSeries(
-            tuple((k + e, c) for k, c in self.terms),
-            trunc=_add_bound(self.trunc, e),
-        )
-
-    def __truediv__(self, other) -> ParamSeries:
-        return self * _coerce_param(other).inv()
-
-    def inv(self, order=None) -> ParamSeries:
-        return self.pow_rational(Fraction(-1), order=order)
+    def __str__(self):
+        return render_param_series(self)
 
     def pow_rational(self, e, order=None) -> ParamSeries:
         """Rational power; the leading coefficient must be a parameter monomial.
@@ -352,16 +211,16 @@ class ParamSeries:
         if not self.terms:
             if self.is_zero():
                 if e > 0:
-                    return ParamSeries.zero()
+                    return self.zero()
                 raise ZeroDivisionError("zero series with nonpositive exponent")
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
-            return ParamSeries.one()
+            return self.one()
         v, c = self.terms[0]
         if not c.is_monomial():
             if e.denominator == 1 and e >= 0:
                 # not a unit, but plain powers need no inverse
-                out = ParamSeries.one()
+                out = self.one()
                 for _ in range(int(e)):
                     out = out * self
                 return out
@@ -369,25 +228,13 @@ class ParamSeries:
                 "leading coefficient is not a parameter monomial"
             )
         lead_pow = c.pow_rational(e)
-        rest = ParamSeries(self.terms[1:], trunc=self.trunc)
+        rest = self._canonical(self.terms[1:], self.trunc, self.ram)
         u = rest.shift(-v).scale(c.inv())
         head_exp = e * v
         if u.is_zero():
-            return ParamSeries(((head_exp, lead_pow),))
-        rel = None if self.trunc is None else self.trunc - v
-        terminates = e.denominator == 1 and e >= 0
-        if not terminates:
-            if order is not None:
-                rel = _min_bound(rel, Fraction(order) - head_exp)
-            if rel is None:
-                raise UnboundedExpansion(
-                    "rational power of an exact non-monomial series needs an order"
-                )
-        body = _param_binomial(u, e, rel)
+            return type(self)(((head_exp, lead_pow),))
+        body = _param_binomial(u, e, self._relative_order(e, order))
         return body.scale(lead_pow).shift(head_exp)
-
-    def __pow__(self, e) -> ParamSeries:
-        return self.pow_rational(Fraction(e))
 
     def is_lead_positive(self) -> bool:
         """Positive for small t > 0 and small parameter > 0."""
@@ -413,14 +260,6 @@ class ParamSeries:
         return PuiseuxSeries(terms, trunc=self.trunc)
 
 
-def _coerce_param(x) -> ParamSeries:
-    if isinstance(x, ParamSeries):
-        return x
-    if isinstance(x, (int, Fraction, LaurentEps)):
-        return ParamSeries.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to ParamSeries")
-
-
 def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
     """(1 + u)^e over the parametric ring, truncated at the relative order ``rel``.
 
@@ -437,27 +276,14 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
 
     a product of integer Laurent rows with an exact division by n.  Each
     output coefficient is one Fraction, H[n][k] / (q^2 M)^n.  When only
-    multiples of g carry terms the recurrence runs in s^g.
+    multiples of g carry terms the recurrence runs in s^g.  A zero ``u``,
+    ``rel`` None and an order that leaves no lattice point go to the
+    kernel's coefficient loop.
     """
-    if u.is_zero():
-        one = ParamSeries.one()
-        return one if rel is None else one + ParamSeries.unknown(rel)
-    if rel is None:
-        out = ParamSeries.one()
-        term = ParamSeries.one()
-        coeff = Fraction(1)
-        for k in range(1, int(e) + 1):
-            coeff = coeff * (e - (k - 1)) / k
-            if coeff == 0:
-                break
-            term = term * u
-            out = out + term.scale(coeff)
-        return out
+    if u.is_zero() or rel is None or rel <= 0:
+        return _coefficient_sum(u, e, rel)
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
-    if n_max < 0:
-        # keep u's ramification, as the plain kernel does
-        return ParamSeries((), trunc=rel, ram=ram)
     p, q = e.numerator, e.denominator
     support = []
     g = 0
@@ -506,7 +332,7 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
             coeff = tuple((k, Fraction(row[k], den)) for k in sorted(row))
             terms.append((Fraction(n * g, ram), LaurentEps._canonical(coeff)))
         den *= scale
-    return ParamSeries(terms, trunc=rel, ram=ram)
+    return ParamSeries._canonical(tuple(terms), rel, ram)
 
 
 # -- the divergence analysis -------------------------------------------------
@@ -541,54 +367,6 @@ def divergence_witness(p: ParamSeries) -> Optional[DivergenceWitness]:
     return None
 
 
-def require_positive_ord(a, name: str = "series") -> None:
-    """Guard: the series must vanish at 0+ (order > 0, decidably)."""
-    if a.is_zero():
-        return
-    lead = a.lead()
-    if lead is None:
-        if a.trunc is not None and a.trunc > 0:
-            return
-        raise ZeroUpToTruncationError(a.trunc, f"{name}: order unknown")
-    if lead[0] <= 0:
-        raise NonPositiveValuationSubstitution(f"{name} has order {lead[0]}")
-
-
-def pm_subst(f, u_arc: ParamSeries, v_arc: ParamSeries, order=None) -> ParamSeries:
-    """Substitute two parametric arcs (positive t-order) into a bivariate f.
-
-    ``f`` may be a monomial-coefficient map {(m, n): Rat} or a scalar
-    expression node in two variables; expression evaluation shares the
-    guards of the series ring.
-    """
-    if isinstance(f, dict):
-        return subst_bivariate_monomials(f, u_arc, v_arc, order=order)
-    require_positive_ord(u_arc, "u")
-    require_positive_ord(v_arc, "v")
-    from .mapexpr import eval_series
-
-    return eval_series(f, (u_arc, v_arc), order=order)
-
-
-def subst_bivariate_monomials(coeffs: dict, u_arc: ParamSeries, v_arc: ParamSeries,
-                              order=None) -> ParamSeries:
-    """Exact substitution of two parametric arcs into sum(a[m,n] u^m v^n).
-
-    Both arcs must have positive t-order.
-    """
-    require_positive_ord(u_arc, "u")
-    require_positive_ord(v_arc, "v")
-    out = ParamSeries((), trunc=None if order is None else Fraction(order))
-    for (m, n), a in sorted(coeffs.items()):
-        if a == 0:
-            continue
-        piece = ParamSeries.constant(a)
-        piece = piece * u_arc.pow_rational(Fraction(m), order=order)
-        piece = piece * v_arc.pow_rational(Fraction(n), order=order)
-        out = out + piece
-    return out.truncate(order) if order is not None else out
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -607,8 +385,6 @@ def _render_eps_coeff(c: LaurentEps) -> str:
 
 def render_param_series(p: ParamSeries, var: str = "t") -> str:
     """Render as a sum of rows c_k(e) * t^k with an O-marker."""
-    from .puiseux import _render_exp
-
     parts = []
     for e, c in p.terms:
         coeff_text = _render_eps_coeff(c)
@@ -628,8 +404,6 @@ def render_param_series(p: ParamSeries, var: str = "t") -> str:
 
 def param_rows(p: ParamSeries) -> list:
     """Structured view: one row per t-exponent with its parameter coefficients."""
-    from .puiseux import _render_exp
-
     return [
         {
             "t_exp": _render_exp(e),

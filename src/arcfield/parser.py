@@ -38,11 +38,9 @@ from .mapexpr import (
     Pow,
     Sub,
     Var,
-    render_expr,
-    render_map,
 )
 from .newton import PolyOverSeries
-from .puiseux import PuiseuxSeries, render_series
+from .puiseux import PuiseuxSeries
 
 
 class _Scanner:
@@ -383,22 +381,3 @@ def _parse_x_power(sc: _Scanner) -> int:
         return deg
     return 1
 
-
-# -- rendering ----------------------------------------------------------------------
-
-render = render_series  # canonical series text form
-
-
-def render_value(value) -> str:
-    """Render any of the parseable values back to its grammar."""
-    if isinstance(value, PuiseuxSeries):
-        return render_series(value)
-    if isinstance(value, MapExpr):
-        return render_map(value)
-    if isinstance(value, Expr):
-        return render_expr(value, ("x", "y", "z", "w"))
-    from .param_series import ParamSeries, render_param_series
-
-    if isinstance(value, ParamSeries):
-        return render_param_series(value)
-    raise TypeError(f"cannot render {type(value).__name__}")

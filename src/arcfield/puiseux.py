@@ -14,9 +14,14 @@ Zero is three-valued and the distinction is load-bearing:
 * nonzero: a known leading term exists.
 
 Every operation computes the tightest sound truncation bound, so an unknown
-coefficient is never silently reported as zero.  Coefficients are exact
-``Fraction`` values by default; numeric mode stores 64-bit floats in the same
-structure (modes are never mixed inside one computation).
+coefficient is never silently reported as zero.  One kernel serves three
+coefficient rings: exact ``Fraction`` values by default, 64-bit floats in
+numeric mode (modes are never mixed inside one computation), and
+``LaurentEps`` Laurent polynomials in a family parameter, through the
+``param_series.ParamSeries`` subclass.  The ring operations build their
+results with the class of their operand and test a coefficient for zero by
+its truthiness (``if c``), which each ring defines; a float product that
+underflows to 0.0 is dropped the same way.
 
 Exact powers avoid Fraction arithmetic where they can, with unchanged
 results.  A positive integer power f^n of a truncated or non-monomial series
@@ -130,16 +135,24 @@ class PuiseuxSeries:
 
     __slots__ = ("ram", "terms", "trunc")
 
+    # The coefficient ring, which a subclass replaces: ``_lifted`` values
+    # become coefficients through ``_lift`` as they enter a series, and
+    # ``_scalars`` are what the ring operations take as constants.
+    _lifted = (int,)
+    _lift = Fraction
+    _scalars = (int, Fraction, float)
+
     def __init__(self, terms=(), trunc: Optional[Exp] = None, ram: int = 1):
         if trunc is not None and not isinstance(trunc, Fraction):
             trunc = Fraction(trunc)
         pairs = []
         r = ram
+        lifted, lift = self._lifted, self._lift
         for e, c in terms:
             if not isinstance(e, Fraction):
                 e = Fraction(e)
-            if isinstance(c, int):
-                c = Fraction(c)
+            if isinstance(c, lifted):
+                c = lift(c)
             if r % e.denominator:
                 r = lcm(r, e.denominator)
             pairs.append((e, c))
@@ -157,10 +170,8 @@ class PuiseuxSeries:
             i = e.numerator * (r // e.denominator)
             if bound_num is not None and i * bound_den >= bound_num:
                 continue
-            acc[i] = acc.get(i, 0) + c
-        clean = tuple(
-            (Fraction(i, r), c) for i, c in sorted(acc.items()) if c != 0
-        )
+            acc[i] = acc[i] + c if i in acc else c
+        clean = tuple((Fraction(i, r), c) for i, c in sorted(acc.items()) if c)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "ram", r)
@@ -240,19 +251,18 @@ class PuiseuxSeries:
         for exp, c in self.terms:
             if exp == e:
                 return c
-        return Fraction(0)
+        return self._lift(0)
 
     def truncate(self, order) -> PuiseuxSeries:
         """Forget all knowledge at exponents >= order (None: keep everything)."""
         t = _min_bound(self.trunc, None if order is None else Fraction(order))
         if t == self.trunc:
             return self
-        return PuiseuxSeries._canonical(
-            tuple(p for p in self.terms if p[0] < t), t, self.ram
-        )
+        return self._canonical(tuple(p for p in self.terms if p[0] < t), t, self.ram)
 
     def __eq__(self, other):
-        if not isinstance(other, PuiseuxSeries):
+        # series over different coefficient rings never compare equal
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms and self.trunc == other.trunc
 
@@ -260,35 +270,42 @@ class PuiseuxSeries:
         return hash((self.terms, self.trunc))
 
     def __repr__(self):
-        return f"PuiseuxSeries({self})"
+        return f"{type(self).__name__}({self})"
 
     def __str__(self):
         return render_series(self)
 
     # -- ring operations ---------------------------------------------------
 
+    @classmethod
+    def _coerce(cls, x) -> PuiseuxSeries:
+        """A series of this class as it is; a scalar of its ring as a constant."""
+        if type(x) is cls:
+            return x
+        if isinstance(x, cls._scalars):
+            return cls.constant(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to {cls.__name__}")
+
     def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries._canonical(
-            tuple((e, -c) for e, c in self.terms), self.trunc, self.ram
-        )
+        return self._canonical(tuple((e, -c) for e, c in self.terms), self.trunc, self.ram)
 
     def __add__(self, other) -> PuiseuxSeries:
-        other = _coerce(other)
+        if type(other) is not type(self):
+            other = self._coerce(other)
         trunc = _min_bound(self.trunc, other.trunc)
-        return PuiseuxSeries(
-            self.terms + other.terms, trunc=trunc, ram=lcm(self.ram, other.ram)
-        )
+        return type(self)(self.terms + other.terms, trunc=trunc, ram=lcm(self.ram, other.ram))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> PuiseuxSeries:
-        return self + (-_coerce(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> PuiseuxSeries:
-        return _coerce(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> PuiseuxSeries:
-        other = _coerce(other)
+        if type(other) is not type(self):
+            other = self._coerce(other)
         # trunc = min(ord f + trunc g, ord g + trunc f); for a series with no
         # known terms its own trunc stands in for the (unknown, larger) order
         b1 = _add_bound(self.ord_lower_bound(), other.trunc)
@@ -312,9 +329,10 @@ class PuiseuxSeries:
                 i = i1 + i2
                 if bound_num is not None and i * bound_den >= bound_num:
                     continue
-                acc[i] = acc.get(i, 0) + c1 * c2
-        terms = tuple((Fraction(i, ram), c) for i, c in sorted(acc.items()) if c != 0)
-        out = PuiseuxSeries.__new__(PuiseuxSeries)
+                p = c1 * c2
+                acc[i] = acc[i] + p if i in acc else p
+        terms = tuple((Fraction(i, ram), c) for i, c in sorted(acc.items()) if c)
+        out = object.__new__(type(self))
         object.__setattr__(out, "terms", terms)
         object.__setattr__(out, "trunc", trunc)
         object.__setattr__(out, "ram", ram)
@@ -324,31 +342,30 @@ class PuiseuxSeries:
 
     def scale(self, c) -> PuiseuxSeries:
         """Multiply by a scalar (exact, truncation unchanged)."""
-        if c == 0:
-            return PuiseuxSeries((), trunc=self.trunc)
+        if not c:
+            return type(self)((), trunc=self.trunc)
         # a float product can underflow to 0.0, so zeros are still dropped
-        terms = tuple((e, p) for e, k in self.terms if (p := c * k) != 0)
-        return PuiseuxSeries._canonical(terms, self.trunc, self.ram)
+        terms = tuple((e, p) for e, k in self.terms if (p := c * k))
+        return self._canonical(terms, self.trunc, self.ram)
 
     def shift(self, e) -> PuiseuxSeries:
         """Multiply by the exact monomial t^e."""
         e = Fraction(e)
-        return PuiseuxSeries._canonical(
+        return self._canonical(
             tuple((k + e, c) for k, c in self.terms),
             _add_bound(self.trunc, e),
             lcm(self.ram, e.denominator),
         )
 
     def __truediv__(self, other) -> PuiseuxSeries:
-        other = _coerce(other)
-        return self * other.inv()
+        return self * self._coerce(other).inv()
 
     # -- leading-term decomposition ---------------------------------------
 
     def _unit_part(self):
         """Write self = c t^v (1 + u) with ord u > 0; returns (v, c, u)."""
         v, c = self.terms[0]
-        rest = PuiseuxSeries._canonical(self.terms[1:], self.trunc, self.ram)
+        rest = self._canonical(self.terms[1:], self.trunc, self.ram)
         recip = Fraction(1) / c if isinstance(c, Fraction) else 1.0 / c
         return v, c, rest.shift(-v).scale(recip)
 
@@ -383,17 +400,17 @@ class PuiseuxSeries:
         if not self.terms:
             if self.is_zero():
                 if e > 0:
-                    return PuiseuxSeries.zero()
+                    return self.zero()
                 raise ZeroDivisionError("zero series with nonpositive exponent")
             if terminates and e > 0:
                 # ord(f^n) = n ord(f) >= n trunc, and a known lead of f has
                 # an exact n-th power.  A root is not decided: its leading
                 # coefficient may be irrational or need a positive base, and
                 # an inverse needs a nonzero one
-                return PuiseuxSeries((), trunc=e * self.trunc, ram=self.ram)
+                return type(self)((), trunc=e * self.trunc, ram=self.ram)
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
-            return PuiseuxSeries.one()
+            return self.one()
         v, c = self.terms[0]
         exact = isinstance(c, Fraction)
         if exact:
@@ -411,24 +428,33 @@ class PuiseuxSeries:
         lead_pow = _coeff_pow(c, e)
         head_exp = e * v
         if monomial:
-            return PuiseuxSeries(((head_exp, lead_pow),))
-        # relative precision available for the binomial expansion; ``order``
-        # only caps expansions that would otherwise be infinite
-        rel = None if self.trunc is None else self.trunc - v
-        if not terminates:
-            if order is not None:
-                rel = _min_bound(rel, Fraction(order) - head_exp)
-            if rel is None:
-                raise UnboundedExpansion(
-                    "rational power of an exact non-monomial series needs an order"
-                )
+            return type(self)(((head_exp, lead_pow),))
+        rel = self._relative_order(e, order)
         if exact:
-            u = PuiseuxSeries._canonical(
+            u = self._canonical(
                 tuple((x - v, k / c) for x, k in self.terms[1:]),
                 None if self.trunc is None else self.trunc - v,
                 self.ram,
             )
         return _binomial_sum(u, e, rel, lead=lead_pow, shift=head_exp)
+
+    def _relative_order(self, e: Fraction, order) -> Optional[Exp]:
+        """Relative order of the binomial expansion of ``self ** e``.
+
+        It is what the truncation leaves known past the lead, capped by
+        ``order`` (absolute) only when the expansion would otherwise be
+        infinite; None for the exact power of an exact series.
+        """
+        v = self.terms[0][0]
+        rel = None if self.trunc is None else self.trunc - v
+        if e.denominator != 1 or e < 0:
+            if order is not None:
+                rel = _min_bound(rel, Fraction(order) - e * v)
+            if rel is None:
+                raise UnboundedExpansion(
+                    "rational power of an exact non-monomial series needs an order"
+                )
+        return rel
 
     def __pow__(self, e) -> PuiseuxSeries:
         return self.pow_rational(Fraction(e))
@@ -444,7 +470,7 @@ class PuiseuxSeries:
                 raise ZeroDivisionError("pole at 0")
             if self.trunc is not None and self.trunc <= 0:
                 raise ZeroUpToTruncationError(self.trunc, "constant term unknown")
-            return PuiseuxSeries.constant(self.coeff(0))
+            return self.constant(self.coeff(0))
         w = inner.ord()
         if isinstance(w, ZeroUpToTruncation):
             raise ZeroUpToTruncationError(inner.trunc, "inner series order unknown")
@@ -454,7 +480,7 @@ class PuiseuxSeries:
             )
         tail = None if self.trunc is None else w * self.trunc
         cap = _min_bound(tail, None if order is None else Fraction(order))
-        out = PuiseuxSeries((), trunc=cap)
+        out = type(self)((), trunc=cap)
         for e, c in self.terms:
             out = out + inner.pow_rational(e, order=cap).scale(c)
         return out.truncate(cap)
@@ -463,7 +489,7 @@ class PuiseuxSeries:
 
     def compare(self, other) -> int:
         """Sign of self - other in the unique field order (lead coefficient)."""
-        diff = self - _coerce(other)
+        diff = self - other
         if diff.terms:
             return 1 if diff.terms[0][1] > 0 else -1
         if diff.is_zero():
@@ -485,7 +511,11 @@ class PuiseuxSeries:
         return self.compare(other) >= 0
 
     def is_positive(self) -> bool:
-        return self.compare(PuiseuxSeries.zero()) > 0
+        return self.compare(0) > 0
+
+    def is_lead_positive(self) -> bool:
+        """Positive for small t > 0: the known lead coefficient is positive."""
+        return bool(self.terms) and self.terms[0][1] > 0
 
     def limit0(self):
         """Limit at t -> 0+: the constant coefficient, or DIVERGES.
@@ -504,15 +534,7 @@ class PuiseuxSeries:
                 return c
             if e > 0:
                 break
-        return Fraction(0)
-
-
-def _coerce(x) -> PuiseuxSeries:
-    if isinstance(x, PuiseuxSeries):
-        return x
-    if isinstance(x, (int, Fraction, float)):
-        return PuiseuxSeries.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to PuiseuxSeries")
+        return self._lift(0)
 
 
 def _coeff_pow(c, e: Fraction):
@@ -549,14 +571,16 @@ def _binomial_sum(
 
 
 def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxSeries:
-    """``_binomial_sum`` with arithmetic on the coefficients of ``u``."""
+    """``_binomial_sum`` with arithmetic on the coefficients of ``u``, in the
+    ring of ``u``'s class."""
+    ring = type(u)
     if u.is_zero():
-        one = PuiseuxSeries.one()
-        return one if rel is None else one + PuiseuxSeries.unknown(rel)
+        one = ring.one()
+        return one if rel is None else one + ring.unknown(rel)
     if rel is None:
         # terminating exact case: e is a nonnegative integer
-        out = PuiseuxSeries.one()
-        term = PuiseuxSeries.one()
+        out = ring.one()
+        term = ring.one()
         coeff = Fraction(1)
         for k in range(1, int(e) + 1):
             coeff = coeff * (e - (k - 1)) / k
@@ -570,7 +594,7 @@ def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> Puise
     if n_max < 0:
         # keep u's ramification, so a working order that leaves no lattice
         # point does not shrink ``ram`` below what a larger order yields
-        return PuiseuxSeries((), trunc=rel, ram=ram)
+        return ring((), trunc=rel, ram=ram)
     ua = {}
     for exp, c in u.terms:
         idx = int(exp * ram)
@@ -590,7 +614,7 @@ def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> Puise
                 acc += (e1 * j - n) * ua[j] * prev
         h[n] = acc / n if acc else 0
     terms = tuple((Fraction(n, ram), h[n]) for n in range(n_max + 1) if h[n])
-    return PuiseuxSeries._canonical(terms, rel, ram)
+    return ring._canonical(terms, rel, ram)
 
 
 def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> PuiseuxSeries:
@@ -765,7 +789,7 @@ Arc = tuple  # n-tuple of PuiseuxSeries
 
 def arc(*components) -> Arc:
     """Bundle series into an arc (tuple of components)."""
-    return tuple(_coerce(c) for c in components)
+    return tuple(PuiseuxSeries._coerce(c) for c in components)
 
 
 def arc_sub(a: Arc, b: Arc) -> Arc:
@@ -773,18 +797,3 @@ def arc_sub(a: Arc, b: Arc) -> Arc:
         raise ValueError("arc dimensions differ")
     return tuple(x - y for x, y in zip(a, b))
 
-
-def arc_limit0(a: Arc):
-    """Componentwise limit at 0+; DIVERGES if any component diverges."""
-    out = []
-    for comp in a:
-        v = comp.limit0()
-        if v is DIVERGES:
-            return DIVERGES
-        out.append(v)
-    return tuple(out)
-
-
-def arc_based_at_zero(a: Arc) -> bool:
-    lim = arc_limit0(a)
-    return lim is not DIVERGES and all(v == 0 for v in lim)

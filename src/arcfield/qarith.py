@@ -15,58 +15,12 @@ from fractions import Fraction
 Rat = Fraction
 Exp = Fraction
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def rat(num: int, den: int = 1) -> Rat:
-    """Reduced rational from an integer pair."""
-    return Fraction(num, den)
-
-
-def rat_cmp(a: Rat, b: Rat) -> int:
-    """Total order on rationals: -1, 0 or 1."""
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
-
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "neg": lambda a, _b: -a,
-    "cmp": rat_cmp,
-}
-
-
-def rat_arith(op: str, a: Rat, b: Rat = Fraction(0)):
-    """Dispatch arithmetic by name; ``div`` raises ZeroDivisionError on b = 0."""
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    try:
-        return _OPS[op](a, b)
-    except KeyError:
-        raise ValueError(f"unknown rational op {op!r}") from None
-
 
 def render_rat(a: Rat) -> str:
     """Textual form ``p/q``, denominator omitted when 1."""
     if a.denominator == 1:
         return str(a.numerator)
     return f"{a.numerator}/{a.denominator}"
-
-
-def parse_rat(text: str) -> Rat:
-    """Inverse of :func:`render_rat` (strict: integers or ``p/q``)."""
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
 
 
 def lcm(a: int, b: int) -> int:

@@ -177,6 +177,17 @@ class TestEval:
         assert code == 1
         assert "root" in err.lower()
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["eval", "(x,y)", "--vars", "x,y", "--arc", "t"],
+                     "arc has 1 component, the map takes 2", id="too-few"),
+        pytest.param(["eval", "x", "--vars", "x,y", "--arc", "t;t"],
+                     "arc has 2 components, the map takes 1", id="too-many"),
+    ])
+    def test_arc_length_must_match_the_map(self, argv, message):
+        code, out, err = run(argv)
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+
     def test_at_file_indirection(self, tmp_path):
         f = tmp_path / "map.txt"
         f.write_text("(u, u*v, v^2)")
@@ -206,6 +217,7 @@ class TestErrors:
 LOJA = ["probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x"]
 UNIF = ["probe", "unif", "--map", "x", "--vars", "x"]
 TRANSPORT = ["probe", "transport", "--map", "x^3", "--vars", "x", "--transfer-kind"]
+HOLDER_X = ["probe", "holder", "--map", "x", "--vars", "x", "--trials", "3"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,6 +239,13 @@ TRANSPORT = ["probe", "transport", "--map", "x^3", "--vars", "x", "--transfer-ki
     pytest.param(UNIF + ["--box", "0,inf"], id="unif-box-infinite"),
     pytest.param(LOJA + ["--box", "0,1;0,1"], id="loja-box-dimension"),
     pytest.param(LOJA + ["--box", "1"], id="loja-box-malformed"),
+    pytest.param(HOLDER_X + ["--min-ord", "0"], id="holder-min-ord-0"),
+    pytest.param(HOLDER_X + ["--min-ord=-1"], id="holder-min-ord-negative"),
+    pytest.param(HOLDER_X + ["--min-ord", "1,2"], id="holder-min-ord-too-many"),
+    pytest.param(["probe", "holder", "--map", "(x, y)", "--min-ord", "1"],
+                 id="holder-min-ord-too-few"),
+    pytest.param(TRANSPORT + ["surjective", "--min-ord", "1/2,1"], id="surjective-min-ord-too-many"),
+    pytest.param(TRANSPORT + ["injective", "--min-ord", "0"], id="injective-min-ord-0"),
 ])
 def test_bad_probe_input_is_one_error_line(argv):
     code, out, err = run(argv)
@@ -299,6 +318,31 @@ ROOTS = ["roots", "X^2 - 2*t"]
                  id="transport-tolerance"),
     pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
                   "--tolerance", "2"], "--tolerance", id="limit-additive-tolerance"),
+    pytest.param(HOLDER + ["--target", "6"], "--target", id="holder-target"),
+    pytest.param(HOLDER + ["--box", "0,1"], "--box", id="holder-box"),
+    pytest.param(HOLDER + ["--epsilon", "0.5"], "--epsilon", id="holder-epsilon"),
+    pytest.param(HOLDER + ["--grid-step", "0.1"], "--grid-step", id="holder-grid-step"),
+    pytest.param(HOLDER + ["--phi1", "x"], "--phi1", id="holder-phi1"),
+    pytest.param(HOLDER + ["--transfer-kind", "surjective"], "--transfer-kind",
+                 id="holder-transfer-kind"),
+    pytest.param(LOJA + ["--box=-1,1", "--map", "x"], "--map", id="loja-map"),
+    pytest.param(LOJA + ["--box=-1,1", "--min-ord", "1"], "--min-ord", id="loja-min-ord"),
+    pytest.param(LOJA + ["--box=-1,1", "--unit-lead"], "--unit-lead", id="loja-unit-lead"),
+    pytest.param(LOJA + ["--box=-1,1", "--target", "6"], "--target", id="loja-target"),
+    pytest.param(LOJA + ["--box=-1,1", "--epsilon", "0.5"], "--epsilon", id="loja-epsilon"),
+    pytest.param(UNIF + ["--box", "0,1", "--min-ord", "1"], "--min-ord", id="unif-min-ord"),
+    pytest.param(UNIF + ["--box", "0,1", "--unit-lead"], "--unit-lead", id="unif-unit-lead"),
+    pytest.param(UNIF + ["--box", "0,1", "--phi2", "x"], "--phi2", id="unif-phi2"),
+    pytest.param(TRANSPORT + ["injective", "--target", "8"], "--target", id="injective-target"),
+    pytest.param(TRANSPORT + ["injective", "--box", "0,1"], "--box", id="injective-box"),
+    pytest.param(TRANSPORT + ["surjective", "--grid-step", "0.1"], "--grid-step",
+                 id="surjective-grid-step"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
+                  "--min-ord", "1"], "--min-ord", id="limit-additive-min-ord"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
+                  "--unit-lead"], "--unit-lead", id="limit-additive-unit-lead"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
+                  "--target", "6"], "--target", id="limit-additive-target"),
 ])
 def test_unread_flag_with_a_value_is_refused(argv, flag):
     code, out, err = run(argv)
@@ -308,7 +352,13 @@ def test_unread_flag_with_a_value_is_refused(argv, flag):
 
 
 @pytest.mark.parametrize("argv, defaults", [
-    pytest.param(HOLDER, ["--t-order", "16/2", "--mode", "exact"], id="holder"),
+    pytest.param(HOLDER, ["--t-order", "16/2", "--mode", "exact", "--box=-1,1", "--epsilon",
+                          "0.1", "--grid-step", "0.01", "--transfer-kind", "injective"],
+                 id="holder"),
+    pytest.param(LOJA + ["--box=-1,1", "--trials", "40"], ["--min-ord=", "--grid-step", "0.01"],
+                 id="loja"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive", "--trials", "5"],
+                 ["--min-ord=", "--box=-1,1", "--epsilon", "0.1"], id="limit-additive"),
     pytest.param(UNIF + ["--box", "0,1"], ["--trials", "100", "--seed", "0"], id="unif"),
     pytest.param(ROOTS + ["--mode", "numeric"], ["--seed", "0", "--tolerance", "0.000000001"],
                  id="roots"),

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcfield import puiseux
-from arcfield.errors import (
-    IrrationalLeadingRoot,
-    NonPositiveValuationSubstitution,
-    RamificationOverflow,
-)
+from arcfield.errors import IrrationalLeadingRoot, RamificationOverflow
 from arcfield.param_series import (
     DivergenceWitness,
     LaurentEps,
@@ -20,7 +16,6 @@ from arcfield.param_series import (
     param_rows,
     render_param_series,
     select_m0n0,
-    subst_bivariate_monomials,
 )
 from arcfield.puiseux import PuiseuxSeries, _coefficient_sum
 
@@ -58,8 +53,7 @@ class TestArith:
 
 class TestSubstitution:
     def test_uv_product(self):
-        got = subst_bivariate_monomials({(1, 1): F(1)}, eps_t(1, 1), eps_t(-1, 1))
-        assert got == ParamSeries.term(2, 1)
+        assert eps_t(1, 1) * eps_t(-1, 1) == ParamSeries.term(2, 1)
 
     def test_exponent_law_exhaustive(self):
         # u^m v^n at (e t, t/e), prefixed by e t: coefficient lands at
@@ -69,7 +63,7 @@ class TestSubstitution:
         prefix = eps_t(1, 1)
         for m in range(7):
             for n in range(7):
-                got = prefix * subst_bivariate_monomials({(m, n): F(1)}, u, v)
+                got = prefix * u.pow_rational(F(m)) * v.pow_rational(F(n))
                 assert got == ParamSeries.eps_t(m - n + 1, m + n + 1)
 
     def test_chart_factor_composition(self):
@@ -82,19 +76,6 @@ class TestSubstitution:
         assert got.coeff(1) == LaurentEps({1: F(1)})
         assert got.coeff(3) == LaurentEps({-1: F(1, 4)})
         assert got.coeff(5) == LaurentEps({-3: F(-11, 32)})
-
-    def test_positive_order_required(self):
-        with pytest.raises(NonPositiveValuationSubstitution):
-            subst_bivariate_monomials({(1, 0): F(1)}, ParamSeries.one(), eps_t(1, 1))
-
-    def test_pm_subst_expression_route(self):
-        from arcfield.mapexpr import variables
-        from arcfield.param_series import pm_subst
-
-        u, v = variables("u", "v")
-        got = pm_subst(u * v, eps_t(1, 1), eps_t(-1, 1))
-        assert got == ParamSeries.term(2, 1)
-        assert pm_subst({(1, 1): F(1)}, eps_t(1, 1), eps_t(-1, 1)) == got
 
     def test_non_monomial_lead_rejected_for_roots(self):
         two_terms = ParamSeries(((F(0), LaurentEps({0: F(1), 1: F(1)})),)) + eps_t(0, 1)
@@ -166,6 +147,21 @@ class TestSpecialization:
         p = ParamSeries.term(1, 1) + ParamSeries.eps_t(2, 2)
         assert p.eps_limit() == PuiseuxSeries.t_power(1)
 
+    def test_commutes_with_inverse_and_fourth_root(self):
+        # a lead c e^k t^v with c a fourth power and 4 | k has rational
+        # fourth roots both before and after specializing e > 0
+        rng = random.Random(31)
+        quarter = F(1, 4)
+        for _ in range(60):
+            v = F(rng.randint(0, 2))
+            lead = ParamSeries.eps_t(rng.choice([-4, 0, 4]), v, rng.choice([F(1), F(16), F(1, 81)]))
+            p = lead + _random_param(rng, t_shift=v)
+            eps0 = F(rng.randint(1, 3), rng.choice([1, 2, 5]))
+            plain = p.at_eps(eps0)
+            assert _common_eq(p.inv(order=6).at_eps(eps0), plain.inv(order=6))
+            got = p.pow_rational(quarter, order=6).at_eps(eps0)
+            assert _common_eq(got, plain.pow_rational(quarter, order=6))
+
 
 def _common_eq(a, b):
     bound = a.trunc
@@ -179,10 +175,10 @@ def _coeff_scale(p, e):
     return sum(abs(v) for _k, v in c.terms) or F(1)
 
 
-def _random_param(rng, min_eps=-3):
+def _random_param(rng, min_eps=-3, t_shift=0):
     terms = []
     for _ in range(rng.randint(1, 4)):
-        t_exp = F(rng.randint(1, 6))
+        t_exp = t_shift + F(rng.randint(1, 6))
         coeff = LaurentEps(
             {
                 rng.randint(min_eps, 3): F(rng.randint(-5, 5))
@@ -194,6 +190,38 @@ def _random_param(rng, min_eps=-3):
         terms.append((t_exp, coeff))
     trunc = F(8) if rng.random() < 0.5 else None
     return ParamSeries(terms, trunc=trunc)
+
+
+class TestKernelBoundary:
+    def test_scalar_rows_become_laurent_constants(self):
+        p = ParamSeries(((0, 3), (F(1, 2), F(-1, 4))))
+        assert p.terms == (
+            (F(0), LaurentEps.constant(3)),
+            (F(1, 2), LaurentEps.constant(F(-1, 4))),
+        )
+        assert all(type(c) is LaurentEps for _e, c in p.terms)
+
+    def test_unlisted_coefficient_is_laurent_zero(self):
+        c = eps_t(1, 1).coeff(2)
+        assert type(c) is LaurentEps and c == LaurentEps()
+
+    def test_operations_stay_in_the_class(self):
+        a = eps_t(1, 1) + ParamSeries.term(2, F(1, 3)) + ParamSeries.unknown(6)
+        b = ParamSeries.one() + eps_t(-1, 1)
+        results = [
+            a + b, a - b, a * b, -a, a.truncate(4), b.inv(order=5),
+            b.pow_rational(F(1, 4), order=5), b.pow_rational(F(3)), a / eps_t(1, 0),
+            a + 1, 1 - a, F(1, 2) * a, a * LaurentEps({-1: F(2)}), a.scale(F(2)), a.shift(1),
+        ]
+        for r in results:
+            assert type(r) is ParamSeries
+            assert all(type(c) is LaurentEps for _e, c in r.terms)
+
+    def test_plain_series_do_not_mix_in(self):
+        with pytest.raises(TypeError):
+            eps_t(1, 1) + PuiseuxSeries.one()
+        with pytest.raises(TypeError):
+            PuiseuxSeries.one() * eps_t(1, 1)
 
 
 class TestRendering:

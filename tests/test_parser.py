@@ -25,7 +25,7 @@ from arcfield.mapexpr import (
     render_map,
 )
 from arcfield.newton import np_roots
-from arcfield.parser import parse_map, parse_poly, parse_series, render_value
+from arcfield.parser import parse_map, parse_poly, parse_series
 from arcfield.puiseux import PuiseuxSeries, render_series
 
 F = Fraction
@@ -170,8 +170,3 @@ def _random_expr(rng, depth):
         return Div(a, b)
     return Pow(a, F(rng.randint(-3, 5), rng.choice((1, 1, 2, 3))))
 
-
-def test_render_value_dispatch():
-    assert render_value(PuiseuxSeries.t_power(2)) == "t^2"
-    m = parse_map("x^2")
-    assert render_value(m) == "x^2"
