@@ -33,7 +33,6 @@ from .topology import (
 )
 from .transport import (
     counterexample_pushforward,
-    eval_map_on_arc,
     lift_arc_blowup,
     radial_stretch_map,
     solve_preimage_arc,
@@ -59,7 +58,6 @@ __all__ = [
     "arc",
     "counterexample_pushforward",
     "divergence_witness",
-    "eval_map_on_arc",
     "holder_probe",
     "lift_arc_blowup",
     "loja_fit",

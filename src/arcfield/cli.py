@@ -28,7 +28,7 @@ from .errors import (
     IrrationalBranch,
     ParseError,
 )
-from .mapexpr import MapExpr, free_vars
+from .mapexpr import MapExpr, eval_map_series, free_vars
 from .param_series import param_rows, render_param_series
 from .parser import parse_map, parse_poly, parse_series
 from .puiseux import render_series
@@ -45,7 +45,6 @@ from .transport import (
     chart_factor_product,
     chart_lift_maps,
     counterexample_pushforward,
-    eval_map_on_arc,
     jacobian_check,
     monotone_bound_check,
 )
@@ -440,7 +439,7 @@ def run_eval(cfg: RunConfig, map_text: str, arc_text: str, vars_text: str) -> Re
     comps = tuple(parse_series(chunk) for chunk in _expand_at(arc_text).split(";"))
     if len(comps) != m.arity:
         raise ConfigError(f"arc has {_count(len(comps), 'component')}, the map takes {m.arity}")
-    image = eval_map_on_arc(m, comps, order=cfg.t_order)
+    image = eval_map_series(m, comps, order=cfg.t_order)
     payload = {
         "map": map_text,
         "arc": [render_series(c) for c in comps],
@@ -476,6 +475,7 @@ def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     parser = build_parser()
+    ram_cap = puiseux.get_ram_cap()
     try:
         args = parser.parse_args(argv)
         cfg = _config_from(args)
@@ -496,6 +496,8 @@ def main(argv=None, out=None, err=None) -> int:
     except (ConfigError, ArcFieldError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
+    finally:
+        puiseux.set_ram_cap(ram_cap)
     emit(report, out)
     return report.exit_code()
 

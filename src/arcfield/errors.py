@@ -49,6 +49,10 @@ class NotPositive(ArcFieldError):
     """A square root was requested of a series that is not positive near 0+."""
 
 
+class FloatOverflow(ArcFieldError):
+    """Numeric mode met a value outside the range of a 64-bit float."""
+
+
 class NoRealBranch(ArcFieldError):
     """No real series branch solves the given equation."""
 

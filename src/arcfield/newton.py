@@ -9,8 +9,12 @@ Both modes run one solver on the exact coefficients.  Edge equations:
 * a binomial edge a0 + ak z^k (no middle terms; k = 1 is the linear edge) is
   solved by one exact k-th root of -a0/ak.  Its real roots are simple: one
   for odd k, +-r for even k when -a0/ak > 0, none otherwise;
-* any other edge polynomial gets divisor search on its squarefree part, with
-  a Sturm count certifying that no irrational real root was missed.
+* any other edge polynomial is split by multiplicity (Musser's squarefree
+  factorization), and Sturm sequences isolate each real root of each part
+  in an interval.  A rational root r/s of a part's integer form has s | L,
+  its leading coefficient: it is a multiple of 1/L, and two such lie at
+  least 1/L apart.  So an interval narrower than 1/L holds at most one
+  candidate, and an exact evaluation decides whether it is the root.
 
 A real root that is not rational makes exact mode raise IrrationalBranch.
 Numeric mode isolates it by Sturm sequences, rounds it to a 64-bit float,
@@ -36,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, gcd, nextafter
+from math import ceil, comb, nextafter
 from typing import List, Optional, Tuple
 
 from .errors import (
+    FloatOverflow,
     IrrationalBranch,
     NoRealBranch,
     NotPositive,
@@ -52,8 +57,6 @@ NUMERIC_PROBE_T = 1e-3
 NUMERIC_RESIDUAL_TOL = 1e-9
 # a float term below this times the magnitudes summed into it is round-off
 NUMERIC_CHOP = 1e-10
-
-_ROOT_SEARCH_LIMIT = 10**14  # divisor enumeration beyond this is hopeless
 
 
 @dataclass(frozen=True)
@@ -137,22 +140,24 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
     equation has no rational root; numeric mode approximates that root and
     the branch through it in floats, reports every branch with float
     coefficients, and certifies it with a residual probe instead of a
-    valuation bound.  A polynomial of odd degree without a branch raises
-    NoRealBranch.
+    valuation bound; a branch outside the float range raises FloatOverflow.
+    A polynomial of odd degree without a branch raises NoRealBranch.
     """
     target = Fraction(target)
     if P.degree < 1:
         return []
     if P.coeffs[-1].is_indeterminate_zero():
         raise TruncationExhausted("leading coefficient has no known term")
-    recs = _solve(list(P.coeffs), target, positive_only=False, mode=mode, depth=0)
     out = []
-    for rec in recs:
-        terms = rec.terms
-        if mode == "numeric":
-            terms = tuple((e, float(c)) for e, c in terms)
-        series = PuiseuxSeries(terms, trunc=rec.trunc)
-        out.append(_certify(P, series, rec.mult, target, mode))
+    try:
+        for rec in _solve(list(P.coeffs), target, positive_only=False, mode=mode, depth=0):
+            terms = rec.terms
+            if mode == "numeric":
+                terms = tuple((e, float(c)) for e, c in terms)
+            series = PuiseuxSeries(terms, trunc=rec.trunc)
+            out.append(_certify(P, series, rec.mult, target, mode))
+    except OverflowError as exc:
+        raise FloatOverflow("a branch coefficient lies outside the float range") from exc
     if not out and P.degree % 2:
         # a real closed field gives every odd-degree polynomial a root
         raise NoRealBranch(f"degree {P.degree} polynomial yielded no real branch")
@@ -573,11 +578,10 @@ def _edge_roots(edge, mode):
     poly = [Fraction(0)] * (deg + 1)
     for k, a in edge:
         poly[k] += Fraction(a)
-    if any(isinstance(a, float) for _, a in edge):
-        return _float_roots_by_multiplicity(poly)
-    if len(edge) == 2:
+    floats = any(isinstance(a, float) for _, a in edge)
+    if len(edge) == 2 and not floats:
         return _binomial_roots(poly[0], poly[deg], deg, mode)
-    return _rational_roots(poly, mode)
+    return _rational_roots(poly, mode, named=not floats)
 
 
 def _binomial_roots(a0, ak, k, mode):
@@ -590,75 +594,43 @@ def _binomial_roots(a0, ak, k, mode):
         if mode == "exact":
             raise IrrationalBranch("edge equation has an irrational real root")
         binomial = [-rad] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-        return [(x, 1) for x in _float_real_roots(binomial)]
+        ints = _integer_form(binomial)
+        return [(_bisect_root(ints, *iv), 1) for iv in _isolate(binomial)]
     return [(r, 1)] if k % 2 else [(-r, 1), (r, 1)]
 
 
-def _rational_roots(poly, mode):
-    """All real roots of a rational polynomial, or IrrationalBranch.
+def _rational_roots(poly, mode, named=True):
+    """Real roots (value, multiplicity) of a rational polynomial.
 
-    Rational candidates come from divisor search on the primitive integer
-    form of the squarefree part; a Sturm count certifies that no irrational
-    real root was missed.  Numeric mode returns the real roots that are not
-    rational as floats, and so does it for every root when the coefficients
-    are too large to search.
+    Musser's squarefree factorization poly = prod a_m^m splits the roots by
+    multiplicity m, and Sturm sequences isolate each real root of a_m in an
+    interval (_isolate).  _candidates names the one rational that can be the
+    root in each interval, and an exact evaluation decides.  A root that is
+    not rational makes exact mode raise IrrationalBranch; numeric mode rounds
+    it to a float.  With ``named`` false every root is rounded: float edge
+    data carry round-off, so their exact roots would mean nothing.
     """
-    sf = _squarefree(poly)
-    try:
-        cands = set(_candidates(_to_primitive_int(sf)))
-    except IrrationalBranch:
-        if mode == "exact":
-            raise
-        cands = set()
-    if sf[0] == 0:
-        cands.add(Fraction(0))
-    found = [cand for cand in sorted(cands) if _poly_eval_q(sf, cand) == 0]
-    out = []
-    rest = poly
-    for r in found:
-        mult = 0
-        while True:
-            q, ok = _poly_divide_linear(rest, r)
-            if not ok:
-                break
-            mult += 1
-            rest = q
-        out.append((r, mult))
-    if _sturm_count(sf) > len(found):
-        if mode == "exact":
-            raise IrrationalBranch("edge equation has an irrational real root")
-        out += _float_roots_by_multiplicity(rest)
-    return out
-
-
-def _float_roots_by_multiplicity(p):
-    """Float real roots, with multiplicities, of a rational polynomial.
-
-    Musser's squarefree factorization p = prod a_i^i splits the roots by
-    multiplicity; each a_i is squarefree, so Sturm sequences isolate its
-    real roots.
-    """
-    out = []
-    d = _poly_gcd(p, _poly_derivative(p))
-    c, _r = _poly_divmod(p, d)  # a_1 a_2 ...
+    exact, approx = [], []
+    d = _poly_gcd(poly, _poly_derivative(poly))
+    c, _r = _poly_divmod(poly, d)  # a_1 a_2 ...
     mult = 1
     while len(c) > 1:
         y = _poly_gcd(d, c)  # a_(mult+1) a_(mult+2) ...
-        z, _r = _poly_divmod(c, y)  # a_mult
-        out += [(x, mult) for x in _float_real_roots(z)]
+        part, _r = _poly_divmod(c, y)  # a_mult
+        ints = _integer_form(part)
+        intervals = _isolate(part)
+        cands = _candidates(ints, intervals) if named else [None] * len(intervals)
+        for iv, cand in zip(intervals, cands):
+            if cand is not None:
+                exact.append((cand, mult))
+            elif mode == "exact":
+                raise IrrationalBranch("edge equation has an irrational real root")
+            else:
+                approx.append((_bisect_root(ints, *iv), mult))
         d, _r = _poly_divmod(d, y)
         c = y
         mult += 1
-    return out
-
-
-def _squarefree(poly):
-    d = _poly_derivative(poly)
-    g = _poly_gcd(poly, d)
-    if len(g) == 1:
-        return poly
-    q, _r = _poly_divmod(poly, g)
-    return q
+    return sorted(exact) + approx
 
 
 def _poly_derivative(p):
@@ -699,71 +671,21 @@ def _poly_gcd(a, b):
     return a
 
 
-def _poly_eval_q(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divide_linear(p, r):
-    """Synthetic division by (z - r); returns (quotient, divides_exactly)."""
-    q = [Fraction(0)] * (len(p) - 1)
-    acc = Fraction(0)
-    for k in range(len(p) - 1, 0, -1):
-        acc = acc * r + p[k]
-        q[k - 1] = acc
-    rem = acc * r + p[0]
-    if rem != 0:
-        return p, False
-    return q, True
-
-
-def _to_primitive_int(p):
+def _integer_form(p):
+    """p times the positive lcm of its denominators: integers, same signs."""
     den = 1
     for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in p]
 
 
-def _candidates(ints):
-    ints = [c for c in ints]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints or len(ints) == 1:
-        return []
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    if a0 > _ROOT_SEARCH_LIMIT or ad > _ROOT_SEARCH_LIMIT:
-        raise IrrationalBranch("edge equation coefficients too large for exact search")
-    nums = _divisors(a0)
-    dens = _divisors(ad)
-    seen = set()
-    for p in nums:
-        for q in dens:
-            for s in (1, -1):
-                c = Fraction(s * p, q)
-                if c not in seen:
-                    seen.add(c)
-    return sorted(seen)
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _at(q, a, b):
+    """b^deg(q) q(a/b) for integer q, a and b > 0: an integer of the sign of q(a/b)."""
+    acc, power = 0, 1
+    for c in reversed(q):
+        acc = acc * a + c * power
+        power *= b
+    return acc
 
 
 def _sturm_chain(p):
@@ -782,64 +704,90 @@ def _variations(values):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_count(p):
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    p = _poly_norm([Fraction(c) for c in p])
-    if len(p) <= 1:
-        return 0
-    chain = _sturm_chain(p)
-    # the signs at -infinity and +infinity are those of the leading terms
-    at_minus = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
-    return _variations(at_minus) - _variations([q[-1] for q in chain])
+def _isolate(p):
+    """Intervals (a/2^k, b/2^k], as (a, b, k), one around each real root of
+    a squarefree p, in increasing order.
 
-
-def _float_real_roots(p):
-    """Real roots of a squarefree rational polynomial, as sorted floats.
-
-    Sturm sequences isolate each root in a rational interval (lo, hi], which
-    holds V(lo) - V(hi) roots, and bisection narrows it until both ends round
-    to the same float: the root rounds to it too.
+    (lo, hi] holds V(lo) - V(hi) roots, V counting the sign changes along
+    the Sturm sequence.  Bisection from (-2^e, 2^e], a power of two past
+    Cauchy's root bound, keeps every end dyadic, so each sign is that of an
+    integer (_at).
     """
-    p = _poly_norm(list(p))
     if len(p) <= 1:
         return []
-    chain = _sturm_chain(p)
+    chain = [_integer_form(q) for q in _sturm_chain(p)]
+    e = (2 + max(abs(c) for c in chain[0][:-1]) // abs(chain[0][-1])).bit_length()
 
-    def var(x):
-        return _variations([_poly_eval_q(q, x) for q in chain])
+    def var(a, k):
+        return _variations([_at(q, a, 1 << k) for q in chain])
 
-    bound = 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])  # |root| < bound
     out = []
-    stack = [(-bound, bound, var(-bound), var(bound))]
+    stack = [(-1 << e, 1 << e, 0, var(-1 << e, 0), var(1 << e, 0))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo - v_hi == 1:
-            out.append(_bisect_root(p, lo, hi))
-        elif v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = var(mid)
-            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return sorted(out)
+        a, b, k, v_a, v_b = stack.pop()
+        if v_a - v_b == 1:
+            out.append((a, b, k))
+        elif v_a - v_b > 1:
+            mid, k = a + b, k + 1
+            v_mid = var(mid, k)
+            stack += [(mid, 2 * b, k, v_mid, v_b), (2 * a, mid, k, v_a, v_mid)]
+    return out
 
 
-def _bisect_root(p, lo, hi):
-    """The one root of p in (lo, hi], a simple one, rounded to a float.
+def _candidates(ints, intervals):
+    """The one rational that can be the root in each interval, or None.
+
+    A rational root r/s of the integer polynomial ``ints`` has s | L, its
+    leading coefficient, so it is a multiple of 1/L, and two such lie at
+    least 1/L apart.  Bisection narrows the interval below width 1/L, where
+    at most one multiple of 1/L is left: the candidate, which an exact
+    evaluation decides.
+    """
+    L = abs(ints[-1])
+    out = []
+    for a, b, k in intervals:
+        at_b = _at(ints, b, 1 << k)
+        cand = Fraction(b, 1 << k) if at_b == 0 else None
+        while cand is None and (b - a) * L >= 1 << k:
+            mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
+            at_mid = _at(ints, mid, 1 << k)
+            if at_mid == 0:
+                cand = Fraction(mid, 1 << k)
+            elif (at_mid > 0) == (at_b > 0):
+                b = mid
+            else:
+                a = mid
+        if cand is None:
+            n = (b * L) >> k  # n/L is the last multiple of 1/L up to b/2^k
+            if n << k > a * L and _at(ints, n, L) == 0:
+                cand = Fraction(n, L)
+        out.append(cand)
+    return out
+
+
+def _bisect_root(ints, lo, hi, k):
+    """The one root of the integer polynomial ``ints`` in (lo/2^k, hi/2^k],
+    a simple one, rounded to a float.
 
     Once lo and hi round to adjacent floats, the side of their midpoint on
     which the root lies decides: bisection alone would never end at a root
     that is that midpoint.
     """
-    at_hi = _poly_eval_q(p, hi)
+    def sign_at(x):
+        return _at(ints, x.numerator, x.denominator)
+
+    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    at_hi = sign_at(hi)
     while at_hi and float(lo) != float(hi):
         a, b = float(lo), float(hi)
         if nextafter(a, b) == b:
             mid = (Fraction(a) + Fraction(b)) / 2
-            at_mid = _poly_eval_q(p, mid)
+            at_mid = sign_at(mid)
             if not at_mid:
                 return float(mid)
             return a if (at_mid > 0) == (at_hi > 0) else b
         mid = (lo + hi) / 2
-        at_mid = _poly_eval_q(p, mid)
+        at_mid = sign_at(mid)
         if not at_mid:
             return float(mid)
         if (at_mid > 0) == (at_hi > 0):

@@ -77,9 +77,6 @@ class LaurentEps:
             raise ValueError("not a parameter monomial")
         return self.terms[0]
 
-    def min_eps_exp(self) -> Optional[int]:
-        return self.terms[0][0] if self.terms else None
-
     def has_negative_power(self) -> bool:
         return bool(self.terms) and self.terms[0][0] < 0
 

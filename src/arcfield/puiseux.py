@@ -216,10 +216,6 @@ class PuiseuxSeries:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     def is_zero(self) -> bool:
         """Exactly zero (not merely zero up to truncation)."""
         return not self.terms and self.trunc is None
@@ -509,9 +505,6 @@ class PuiseuxSeries:
 
     def __ge__(self, other):
         return self.compare(other) >= 0
-
-    def is_positive(self) -> bool:
-        return self.compare(0) > 0
 
     def is_lead_positive(self) -> bool:
         """Positive for small t > 0: the known lead coefficient is positive."""

@@ -584,56 +584,6 @@ def _check_surjective(h, spec, trials, seed, target, mode):
     return TransferReport("surjective", produced, "pass")
 
 
-def bounded_image_spot_check(
-    h: MapExpr,
-    box: Sequence[Tuple[float, float]],
-    bound: float,
-    spec: ArcSamplerSpec,
-    trials: int = 50,
-    seed: int = 0,
-) -> TransferReport:
-    """Bounded maps send arcs based in the box to arcs with bounded limits.
-
-    Samples arcs whose components have order >= 0 and limits inside the box,
-    pushes them forward, and asserts every image component again has order
-    >= 0 with its limit within ``bound``.  A violating arc raises
-    CounterexampleFound.
-    """
-    import dataclasses
-
-    based = dataclasses.replace(
-        spec, min_lead_exp=tuple(Fraction(0) for _ in range(spec.dim))
-    )
-    produced = 0
-    i = 0
-    while produced < trials and i < 50 * trials + 10:
-        rng = random.Random(seed ^ i)
-        i += 1
-        gamma = sample_arc(rng, based)
-        limits = [c.limit0() for c in gamma]
-        if any(lim is DIVERGES for lim in limits):
-            continue
-        if any(not (lo <= float(lim) <= hi) for lim, (lo, hi) in zip(limits, box)):
-            continue
-        try:
-            image = eval_map_series(h, gamma, order=Fraction(spec.max_exp_num + 4))
-        except ArcFieldError:
-            continue
-        produced += 1
-        for comp in image:
-            lead = comp.lead()
-            if lead is not None and lead[0] < 0:
-                raise CounterexampleFound(
-                    "bounded", tuple(render_series(s) for s in gamma)
-                )
-            value = comp.limit0()
-            if value is DIVERGES or abs(float(value)) > bound:
-                raise CounterexampleFound(
-                    "bounded", tuple(render_series(s) for s in gamma)
-                )
-    return TransferReport("bounded", produced, "pass")
-
-
 def _check_limit_additive(spec, trials, seed):
     zero_floor = ArcSamplerSpec(
         dim=spec.dim,

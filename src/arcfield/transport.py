@@ -70,16 +70,6 @@ def radial_stretch_map() -> MapExpr:
     return map_expr((x * Pow(stretch_factor(), Fraction(1, 4)), y), ("x", "y"))
 
 
-def blowup_map(tag: str) -> MapExpr:
-    """Chart expressions of the point blow-up: U: (u,v)->(u,uv), V: (u,v)->(uv,v)."""
-    u, v = variables("u", "v")
-    if tag == CHART_U:
-        return map_expr((u, u * v), ("u", "v"))
-    if tag == CHART_V:
-        return map_expr((u * v, v), ("u", "v"))
-    raise ValueError(f"unknown chart {tag!r}")
-
-
 def chart_lift_maps() -> Tuple[MapExpr, MapExpr]:
     """The lifts of the radial stretch to the two blow-up charts.
 
@@ -105,11 +95,6 @@ def whitney_umbrella_map() -> MapExpr:
 
 
 # -- arc transport -------------------------------------------------------------
-
-
-def eval_map_on_arc(h: MapExpr, c: Sequence, order=None) -> tuple:
-    """Pushforward h o c, componentwise on series, truncations propagated."""
-    return eval_map_series(h, tuple(c), order=order)
 
 
 def _quotient(num, den, order):
@@ -312,12 +297,6 @@ def monotone_bound_check(box: float = 10.0, step: float = 0.01) -> float:
                 elif (i ** 4 - ridge) * side > 0 and val * _RIDGE_MARGIN < best:
                     break
     return best
-
-
-def monotone_integrand(x: float, y: float) -> float:
-    """The slope defect g(x, y) at one point (y must be nonzero)."""
-    x2, y2 = x * x, y * y
-    return x2 * y2 / (2.0 * (x2 + y2) * (x2 + 2.0 * y2))
 
 
 def jacobian_check(m: MapExpr, points: Sequence) -> float:

@@ -40,7 +40,6 @@ from arcfield.transport import (
     chart_factor_product,
     chart_lift_maps,
     counterexample_pushforward,
-    eval_map_on_arc,
     jacobian_check,
     monotone_bound_check,
     solve_preimage_arc,
@@ -368,7 +367,7 @@ def test_criterion_9_transfer_checks():
         gamma = (t, t * t, t * t)
         pre = solve_preimage_arc(h, gamma, 6)
         assert pre == (t, t)
-        image = eval_map_on_arc(h, pre)
+        image = eval_map_series(h, pre)
         assert image == gamma  # zero residual: exact equality
 
 

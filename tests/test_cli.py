@@ -4,6 +4,7 @@ import json
 import pytest
 
 from arcfield.cli import main
+from arcfield.puiseux import get_ram_cap
 
 
 def run(argv):
@@ -159,6 +160,26 @@ class TestRoots:
         assert [b["series"] for b in branches] == ["-100000000*t", "100000000*t"]
         assert all(b["certified_order"] is None for b in branches)
 
+    def test_edge_roots_with_large_coefficients_are_exact(self):
+        # (X - 10^8 t)(X - (10^8 + 1) t)
+        code, out, err = run(["roots", "10000000100000000*t^2; -200000001*t; 1",
+                              "--t-order", "4", "--emit", "structured"])
+        assert code == 0 and not err
+        branches = json.loads(out)["payload"]["branches"]
+        assert [b["series"] for b in branches] == ["100000000*t", "100000001*t"]
+        assert all(b["exactness"] == "exact" and b["certified_order"] is None
+                   for b in branches)
+
+    @pytest.mark.parametrize("poly", [
+        pytest.param("-1" + "0" * 400 + "*t; 1", id="branch-10^400-t"),
+        pytest.param("-2" + "0" * 700 + "*t; 0; 1", id="edge-roots-+-(2*10^700)^(1/2)"),
+    ])
+    def test_numeric_branch_outside_the_float_range_is_an_error(self, poly):
+        code, out, err = run(["roots", poly, "--mode", "numeric"])
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float range" in err
+
 
 class TestEval:
     def test_whitney(self):
@@ -212,6 +233,21 @@ class TestErrors:
     def test_ram_cap_validation(self):
         code, _out, err = run(["counterexample", "--ram-cap", "0"])
         assert code == 1
+
+    def test_passing_run_restores_the_ram_cap(self):
+        before = get_ram_cap()
+        assert run(["roots", "-t; 1", "--ram-cap", "8"])[0] == 0
+        assert get_ram_cap() == before
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["roots", "-t; 1", "--ram-cap", "8", "--t-order", "0"], id="config"),
+        pytest.param(["roots", "X^2 - 2*t", "--ram-cap", "8"], id="solver"),
+    ])
+    def test_failing_run_restores_the_ram_cap(self, argv):
+        before = get_ram_cap()
+        assert run(["roots", "-t; 1", "--ram-cap", "8"])[0] == 0
+        assert run(argv)[0] == 1
+        assert get_ram_cap() == before
 
 
 LOJA = ["probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x"]

@@ -205,12 +205,12 @@ def test_double_irrational_edge_root():
         ((F(1, 2), -math.sqrt(2)),), ((F(1, 2), math.sqrt(2)),)]
 
 
-def test_edge_roots_too_large_to_search_are_approximated():
-    # edge (z - 10^15)(z^2 - 1): divisor search gives up, Sturm isolation
-    # does not
+def test_edge_roots_with_large_coefficients_are_exact():
+    # edge (z - 10^15)(z^2 - 1): the isolating intervals name every root
     p = poly_from_roots([t_pow(1, 10**15), t_pow(1), t_pow(1, -1)])
-    with pytest.raises(IrrationalBranch):
-        np_roots(p, 3)
+    assert [(b.series.terms, b.exactness) for b in np_roots(p, 3)] == [
+        (((F(1), F(-1)),), "exact"), (((F(1), F(1)),), "exact"),
+        (((F(1), F(10**15)),), "exact")]
     branches = np_roots(p, 3, mode="numeric")
     assert [b.series.terms for b in branches] == [
         ((F(1), -1.0),), ((F(1), 1.0),), ((F(1), 1e15),)]
@@ -226,7 +226,53 @@ def test_edge_roots_too_large_to_search_are_approximated():
 def test_isolated_roots_are_correctly_rounded(root):
     # float edge data make dyadic roots, and one midway between two floats
     # never lets bisection end with both ends rounding alike
-    assert newton._float_real_roots([-root, F(1)]) == [float(root)]
+    assert newton._rational_roots([-root, F(1)], "numeric", named=False) == [
+        (float(root), 1)]
+
+
+def _times_linear(p, r):
+    """p(z) (z - r), coefficients low degree first."""
+    return [b - r * a for a, b in zip(p + [F(0)], [F(0)] + p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**12),
+                       st.integers(1, 3)), min_size=1, max_size=3,
+             unique_by=lambda r: F(r[0], r[1])),
+    st.one_of(st.none(), st.integers(-60, 60).filter(bool)),
+    st.fractions(min_value=-10**6, max_value=10**6).filter(bool),
+)
+def test_edge_roots_are_the_rational_factors(factors, k, scale):
+    # c prod (z - r_i)^m_i, optionally times z^2 - k: the rational roots
+    # come back exact at any size, and only an irrational root of
+    # z^2 - k is left to exact mode's IrrationalBranch
+    roots = {F(n, d): m for n, d, m in factors}
+    p = [scale]
+    for r, m in roots.items():
+        for _ in range(m):
+            p = _times_linear(p, r)
+    irrational = []
+    if k is not None:
+        p = _times_linear(_times_linear(p, F(0)), F(0))
+        p = [a - k * b for a, b in zip(p, p[2:] + [F(0), F(0)])]
+        s = math.isqrt(k) if k > 0 else None
+        if s is not None and s * s == k:
+            for r in (F(-s), F(s)):
+                roots[r] = roots.get(r, 0) + 1
+        elif k > 0:
+            irrational = [(-math.sqrt(k), 1), (math.sqrt(k), 1)]
+    edge = [(j, a) for j, a in enumerate(p) if a]
+    rational = sorted(roots.items())
+    if irrational:
+        with pytest.raises(IrrationalBranch):
+            newton._edge_roots(edge, "exact")
+    else:
+        got = newton._edge_roots(edge, "exact")
+        assert got == rational and all(type(r) is F for r, _m in got)
+    got = newton._edge_roots(edge, "numeric")
+    assert got == rational + irrational
+    assert [type(r) for r, _m in got] == [F] * len(rational) + [float] * len(irrational)
 
 
 def test_gate_numeric_report_is_the_exact_branch_in_floats():

@@ -40,7 +40,7 @@ one = PuiseuxSeries.one()
 class TestAdd:
     def test_cancellation(self):
         assert (t + t * t) + (-t) == t * t
-        assert ((t + t * t) + (-t)).is_exact
+        assert ((t + t * t) + (-t)).trunc is None
 
     def test_identity(self):
         f = series_from_ints([(1, 2), (3, -1)], trunc=5)

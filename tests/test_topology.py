@@ -18,7 +18,7 @@ from arcfield.errors import (
 from arcfield.mapexpr import Pow, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
 from arcfield.parser import parse_map
-from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, render_series
+from arcfield.puiseux import DIVERGES, PuiseuxSeries, ZeroUpToTruncation, render_series
 from arcfield.topology import (
     ArcSamplerSpec,
     HolderEstimate,
@@ -28,6 +28,7 @@ from arcfield.topology import (
     holder_probe,
     loja_fit,
     product_topology_limit,
+    sample_arc,
     sample_pair,
     tadic_ord_dist,
     transfer_check,
@@ -303,14 +304,26 @@ class TestTransfer:
         assert rep.status == "pass"
 
     def test_bounded_image_spot_check(self):
-        from arcfield.topology import bounded_image_spot_check
-
-        # the stretch scales x by at most 2^(1/4) and fixes y
-        rep = bounded_image_spot_check(
-            radial_stretch_map(), [(-1.0, 1.0), (-1.0, 1.0)], 2.0,
-            ArcSamplerSpec(dim=2), trials=40, seed=11,
-        )
-        assert rep.status == "pass" and rep.trials == 40
+        # the stretch scales x by at most 2^(1/4) and fixes y, so arcs based
+        # in the box [-1, 1]^2 push forward to arcs based within 2 of 0
+        rng = random.Random(11)
+        spec = ArcSamplerSpec(dim=2, min_lead_exp=(F(0), F(0)))
+        checked = 0
+        for _ in range(2000):
+            gamma = sample_arc(rng, spec)
+            if any(c.limit0() is DIVERGES or abs(c.limit0()) > 1 for c in gamma):
+                continue
+            try:
+                image = eval_map_series(radial_stretch_map(), gamma, order=F(12))
+            except ArcFieldError:
+                continue
+            for comp in image:
+                assert comp.lead() is None or comp.lead()[0] >= 0
+                assert abs(float(comp.limit0())) <= 2.0
+            checked += 1
+            if checked == 40:
+                break
+        assert checked == 40
 
 
 class TestTopologiesConsistency:
