@@ -53,6 +53,14 @@ class FloatOverflow(ArcFieldError):
     """Numeric mode met a value outside the range of a 64-bit float."""
 
 
+class BranchNotCertified(ArcFieldError):
+    """A computed root branch leaves a residual term below the target order."""
+
+
+class DigitLimitExceeded(ArcFieldError):
+    """A number has more digits than the interpreter converts to text."""
+
+
 class NoRealBranch(ArcFieldError):
     """No real series branch solves the given equation."""
 

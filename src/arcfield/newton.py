@@ -31,9 +31,11 @@ shapes where that is not guaranteed and repeated edge roots keep the
 recursion.
 
 Only real branches are produced, and a polynomial of odd degree always has
-one.  Every returned branch carries a residual certificate: substituting it
-back and measuring the valuation of what is left, in exact arithmetic (or a
-float residual probe at t = 1e-3 in numeric mode).
+one.  Every returned branch, in both modes, carries a residual certificate:
+substituting it back and measuring the valuation of what is left.  A float
+term of that residual within NUMERIC_CHOP of the magnitudes summed into it
+is round-off and is dropped, the per-term radius of ball arithmetic (van der
+Hoeven, "Ball arithmetic", 2009); an exact term never is.
 """
 
 from __future__ import annotations
@@ -44,17 +46,16 @@ from math import ceil, comb, nextafter
 from typing import List, Optional, Tuple
 
 from .errors import (
+    BranchNotCertified,
     FloatOverflow,
     IrrationalBranch,
     NoRealBranch,
     NotPositive,
     TruncationExhausted,
 )
-from .puiseux import PuiseuxSeries, _min_bound
+from .puiseux import PuiseuxSeries, _min_bound, _render_exp
 from .qarith import Exp, lcm, rational_nth_root
 
-NUMERIC_PROBE_T = 1e-3
-NUMERIC_RESIDUAL_TOL = 1e-9
 # a float term below this times the magnitudes summed into it is round-off
 NUMERIC_CHOP = 1e-10
 
@@ -84,12 +85,6 @@ class PolyOverSeries:
                 acc = acc.truncate(order)
         return acc
 
-    def eval_float(self, t0: float, x0: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + _series_at(c, t0)
-        return acc
-
 
 def poly_from_roots(roots, extra=()) -> PolyOverSeries:
     """Expand prod (X - r) times optional extra factors given as coeff lists."""
@@ -102,7 +97,7 @@ def poly_from_roots(roots, extra=()) -> PolyOverSeries:
 
 
 def _poly_mul_series(a, b):
-    out = [PuiseuxSeries.zero() for _ in range(len(a) + len(b) - 1)]
+    out = [PuiseuxSeries.zero()] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
@@ -138,10 +133,12 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
 
     Exact mode raises IrrationalBranch when a real branch exists whose edge
     equation has no rational root; numeric mode approximates that root and
-    the branch through it in floats, reports every branch with float
-    coefficients, and certifies it with a residual probe instead of a
-    valuation bound; a branch outside the float range raises FloatOverflow.
-    A polynomial of odd degree without a branch raises NoRealBranch.
+    the branch through it in floats.  Every branch is certified as it was
+    computed; numeric mode then reports it with float coefficients and its
+    knowledge bound as the certified order, and a branch outside the float
+    range raises FloatOverflow.  A branch that fails its certificate raises
+    BranchNotCertified.  A polynomial of odd degree without a branch raises
+    NoRealBranch.
     """
     target = Fraction(target)
     if P.degree < 1:
@@ -151,11 +148,12 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
     out = []
     try:
         for rec in _solve(list(P.coeffs), target, positive_only=False, mode=mode, depth=0):
-            terms = rec.terms
+            branch = _certify(P, PuiseuxSeries(rec.terms, trunc=rec.trunc), rec.mult, target)
             if mode == "numeric":
-                terms = tuple((e, float(c)) for e, c in terms)
-            series = PuiseuxSeries(terms, trunc=rec.trunc)
-            out.append(_certify(P, series, rec.mult, target, mode))
+                terms = tuple((e, float(c)) for e, c in rec.terms)
+                series = PuiseuxSeries(terms, trunc=rec.trunc)
+                branch = RootBranch(series, rec.mult, series.trunc, "numeric")
+            out.append(branch)
     except OverflowError as exc:
         raise FloatOverflow("a branch coefficient lies outside the float range") from exc
     if not out and P.degree % 2:
@@ -165,15 +163,16 @@ def np_roots(P: PolyOverSeries, target, mode: str = "exact") -> List[RootBranch]
     return out
 
 
-def _certify(P, series, mult, target, mode) -> RootBranch:
-    if mode == "numeric":
-        res = abs(P.eval_float(NUMERIC_PROBE_T, _series_at(series, NUMERIC_PROBE_T)))
-        if res > NUMERIC_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"numeric branch residual {res:.3e} exceeds {NUMERIC_RESIDUAL_TOL}"
-            )
-        return RootBranch(series, mult, series.trunc, "numeric")
+def _certify(P, series, mult, target) -> RootBranch:
+    """The branch with the order below which P(series) is known to vanish.
+
+    With a float term in P or the branch, a float residual term within
+    NUMERIC_CHOP of its magnitude, Horner on |P_j| at |series|, is dropped.
+    """
     residual = P.eval(series)
+    if _has_floats((series,) + P.coeffs):
+        mags = PolyOverSeries(tuple(_abs_series(c) for c in P.coeffs))
+        residual = _chop(residual, mags.eval(_abs_series(series)))
     if residual.is_zero():
         return RootBranch(series, mult, None, "exact")
     certified = residual.ord_lower_bound()
@@ -181,7 +180,10 @@ def _certify(P, series, mult, target, mode) -> RootBranch:
         if not residual.terms:
             # nothing wrong is known, the inputs just end before the target
             raise TruncationExhausted(f"residual is known only below order {certified}")
-        raise RuntimeError("branch failed its residual certificate")
+        raise BranchNotCertified(
+            f"branch residual has a term at t^{_render_exp(residual.terms[0][0])}, "
+            f"below the target {target}"
+        )
     return RootBranch(series, mult, certified, "exact")
 
 
@@ -804,10 +806,6 @@ def _float_series(f: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries(
         tuple((e, float(c)) for e, c in f.terms), trunc=f.trunc, ram=f.ram
     )
-
-
-def _series_at(f: PuiseuxSeries, t0: float) -> float:
-    return sum(float(c) * t0 ** float(e) for e, c in f.terms)
 
 
 # -- the real-closedness witnesses ---------------------------------------------

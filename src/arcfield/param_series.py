@@ -3,9 +3,11 @@
 This is the exact vehicle for one-parameter families of arcs: a
 ``ParamSeries`` is a ``PuiseuxSeries`` whose t-coefficients are
 ``LaurentEps`` values, finite Laurent polynomials in the family parameter
-(written ``e`` in reports).  The series arithmetic is the kernel's own; the
-subclass only says how scalars enter the ring and keeps ``pow_rational``,
-because a lead that is not a parameter monomial is not a unit.  Convergence
+(written ``e`` in reports).  The series arithmetic, powers included, is the
+kernel's own; the subclass says how scalars enter the ring and names its
+binomial expansion, ``_param_binomial``, which runs the kernel's integer
+recurrence on Laurent rows.  A lead that is not a parameter monomial is not
+a unit, so only its nonnegative integer powers exist.  Convergence
 of the family as the parameter goes to 0 is decided coefficientwise: a
 t-coefficient carrying a negative parameter power is unbounded, and the
 lowest such t-exponent is recorded as a ``DivergenceWitness``.
@@ -18,12 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    IrrationalLeadingRoot,
-    NegativeBaseForEvenRoot,
-    ZeroUpToTruncationError,
-)
-from .puiseux import PuiseuxSeries, _coefficient_sum, _lattice_base, _render_exp
+from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot
+from .puiseux import PuiseuxSeries, _lattice_base, _render_exp
 from .qarith import Exp, Rat, lcm, rational_pow, render_rat
 
 
@@ -114,9 +112,21 @@ class LaurentEps:
         k, c = self.monomial()
         return LaurentEps(((-k, Fraction(1) / c),))
 
+    def __rtruediv__(self, other) -> LaurentEps:
+        """``other / self``, for a monomial ``self``."""
+        return self.inv() * other
+
     def pow_rational(self, e: Fraction) -> LaurentEps:
-        """(c eps^k)^e when it stays a Laurent monomial; raises otherwise."""
-        k, c = self.monomial()
+        """A nonnegative integer power by products; any other power of
+        (c eps^k) when it stays a Laurent monomial; raises otherwise."""
+        if len(self.terms) != 1:
+            if e.denominator != 1 or e < 0:
+                raise IrrationalLeadingRoot("leading coefficient is not a parameter monomial")
+            out = LaurentEps.constant(1)
+            for _ in range(e.numerator):
+                out = out * self
+            return out
+        k, c = self.terms[0]
         ke = k * e
         if ke.denominator != 1:
             raise IrrationalLeadingRoot(
@@ -185,6 +195,11 @@ class ParamSeries(PuiseuxSeries):
 
     # named in this class too: the benchmark's tracer wraps the class's own attributes
     __mul__ = __rmul__ = PuiseuxSeries.__mul__
+    pow_rational = PuiseuxSeries.pow_rational
+
+    @staticmethod
+    def _binomial(u, e, rel, lead, shift) -> ParamSeries:
+        return _param_binomial(u, e, rel, lead, shift)
 
     @classmethod
     def term(cls, t_exp, coeff) -> ParamSeries:
@@ -197,41 +212,6 @@ class ParamSeries(PuiseuxSeries):
 
     def __str__(self):
         return render_param_series(self)
-
-    def pow_rational(self, e, order=None) -> ParamSeries:
-        """Rational power; the leading coefficient must be a parameter monomial.
-
-        Non-monomial leading coefficients are not units of the Laurent ring,
-        so inversion and fractional powers reject them.
-        """
-        e = Fraction(e)
-        if not self.terms:
-            if self.is_zero():
-                if e > 0:
-                    return self.zero()
-                raise ZeroDivisionError("zero series with nonpositive exponent")
-            raise ZeroUpToTruncationError(self.trunc)
-        if e == 0:
-            return self.one()
-        v, c = self.terms[0]
-        if not c.is_monomial():
-            if e.denominator == 1 and e >= 0:
-                # not a unit, but plain powers need no inverse
-                out = self.one()
-                for _ in range(int(e)):
-                    out = out * self
-                return out
-            raise IrrationalLeadingRoot(
-                "leading coefficient is not a parameter monomial"
-            )
-        lead_pow = c.pow_rational(e)
-        rest = self._canonical(self.terms[1:], self.trunc, self.ram)
-        u = rest.shift(-v).scale(c.inv())
-        head_exp = e * v
-        if u.is_zero():
-            return type(self)(((head_exp, lead_pow),))
-        body = _param_binomial(u, e, self._relative_order(e, order))
-        return body.scale(lead_pow).shift(head_exp)
 
     def is_lead_positive(self) -> bool:
         """Positive for small t > 0 and small parameter > 0."""
@@ -257,28 +237,25 @@ class ParamSeries(PuiseuxSeries):
         return PuiseuxSeries(terms, trunc=self.trunc)
 
 
-def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
-    """(1 + u)^e over the parametric ring, truncated at the relative order ``rel``.
+def _param_binomial(u: ParamSeries, e: Fraction, rel, lead=None, shift=None) -> ParamSeries:
+    """``lead * t^shift * (1 + u)^e`` over the parametric ring, truncated at
+    the relative order ``rel``; ``lead`` is a parameter monomial.
 
-    ``rel`` None asks for the exact, terminating case (e a nonnegative
-    integer).  The truncated case is ``puiseux._lattice_sum`` with Laurent
-    rows in place of rational coefficients.  Write s = t^(1/ram),
-    u = sum A_j(e)/d_j s^j with A_j integer Laurent polynomials and d_j the
-    lcm of row j's denominators, and e = p/q, and pick M with d_j | M^j for
-    every j.  Then every coefficient of H[n] = h[n] (q^2 M)^n is an integer,
-    and the recurrence from (1 + u) h' = e u' h becomes
+    This is ``puiseux._lattice_sum`` with Laurent rows in place of rational
+    coefficients.  Write s = t^(1/ram), u = sum A_j(e)/d_j s^j with A_j
+    integer Laurent polynomials and d_j the lcm of row j's denominators, and
+    e = p/q, and pick M with d_j | M^j for every j.  Then every coefficient
+    of H[n] = h[n] (q^2 M)^n is an integer, and the recurrence from
+    (1 + u) h' = e u' h becomes
 
         n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
         w_j = q^(2j - 1) (M^j / d_j) A_j,
 
     a product of integer Laurent rows with an exact division by n.  Each
-    output coefficient is one Fraction, H[n][k] / (q^2 M)^n.  When only
-    multiples of g carry terms the recurrence runs in s^g.  A zero ``u``,
-    ``rel`` None and an order that leaves no lattice point go to the
-    kernel's coefficient loop.
+    output coefficient is one Fraction, lead H[n][k] / (q^2 M)^n, written
+    at parameter power k plus the lead's.  When only multiples of g carry
+    terms the recurrence runs in s^g.
     """
-    if u.is_zero() or rel is None or rel <= 0:
-        return _coefficient_sum(u, e, rel)
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
     p, q = e.numerator, e.denominator
@@ -321,15 +298,21 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel) -> ParamSeries:
                         k = k1 + k2
                         acc[k] = acc.get(k, 0) + a * fb
         h[n] = {k: c // n for k, c in acc.items() if c}
-    scale = q * q * m
-    den = 1
+    lead_k, lead_c = (0, Fraction(1)) if lead is None else lead.terms[0]
+    if shift is None:
+        shift = Fraction(0)
+    out_ram = lcm(ram, shift.denominator)
+    step = g * (out_ram // ram)
+    base = shift.numerator * (out_ram // shift.denominator)
+    num, den, scale = lead_c.numerator, lead_c.denominator, q * q * m
     terms = []
-    for n, row in enumerate(h):
+    for n in range(n_max + 1):
+        row = h[n]
         if row:
-            coeff = tuple((k, Fraction(row[k], den)) for k in sorted(row))
-            terms.append((Fraction(n * g, ram), LaurentEps._canonical(coeff)))
+            coeff = tuple((k + lead_k, Fraction(num * row[k], den)) for k in sorted(row))
+            terms.append((Fraction(n * step + base, out_ram), LaurentEps._canonical(coeff)))
         den *= scale
-    return ParamSeries._canonical(tuple(terms), rel, ram)
+    return ParamSeries._canonical(tuple(terms), rel + shift, out_ram)
 
 
 # -- the divergence analysis -------------------------------------------------

@@ -18,6 +18,7 @@ token; arbitrary input never escapes as anything else.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -86,12 +87,17 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start
             raise self.error("an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's digit limit, which bounds work
+            expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+            found = f"{self.pos - digits} digits"
+            raise ParseError(start, self.pos, expected, found, self.text) from None
 
     def ident(self) -> Optional[str]:
         self.skip_ws()

@@ -23,15 +23,17 @@ results with the class of their operand and test a coefficient for zero by
 its truthiness (``if c``), which each ring defines; a float product that
 underflows to 0.0 is dropped the same way.
 
-Exact powers avoid Fraction arithmetic where they can, with unchanged
-results.  A positive integer power f^n of a truncated or non-monomial series
-is n - 1 products, whose bound is the binomial one, T + (n - 1) ord f.  An
-exact monomial is the exception: the general constructor reduces its ``ram``
-to the denominator of the one exponent ((5t^(11/4))^2 has ram 2), where a
-product would keep the operand's 4.  Every other exact power runs the
-binomial recurrence on integers: with e = p/q and u = sum a_j/d_j t^(j/ram),
-H[n] = h[n] (q^2 M)^n is an integer whenever d_j | M^j, so each lattice step
-is integer arithmetic and each output coefficient costs one Fraction.
+Powers take one path in every ring.  A positive integer power f^n of a
+truncated or non-monomial series is n - 1 products, whose bound is the
+binomial one, T + (n - 1) ord f.  A monomial is the exception: the general
+constructor reduces its ``ram`` to the denominator of the one exponent
+((5t^(11/4))^2 has ram 2), where a product would keep the operand's 4.  Every
+other power is a binomial expansion, which the ring's class names.  Exact
+coefficients run the recurrence on integers: with e = p/q and
+u = sum a_j/d_j t^(j/ram), H[n] = h[n] (q^2 M)^n is an integer whenever
+d_j | M^j, so each lattice step is integer arithmetic and each output
+coefficient costs one Fraction; ``param_series`` does the same on Laurent
+rows.
 """
 
 from __future__ import annotations
@@ -356,15 +358,6 @@ class PuiseuxSeries:
     def __truediv__(self, other) -> PuiseuxSeries:
         return self * self._coerce(other).inv()
 
-    # -- leading-term decomposition ---------------------------------------
-
-    def _unit_part(self):
-        """Write self = c t^v (1 + u) with ord u > 0; returns (v, c, u)."""
-        v, c = self.terms[0]
-        rest = self._canonical(self.terms[1:], self.trunc, self.ram)
-        recip = Fraction(1) / c if isinstance(c, Fraction) else 1.0 / c
-        return v, c, rest.shift(-v).scale(recip)
-
     def inv(self, order=None) -> PuiseuxSeries:
         """Multiplicative inverse; relative precision is preserved.
 
@@ -374,31 +367,30 @@ class PuiseuxSeries:
         return self.pow_rational(Fraction(-1), order=order)
 
     def pow_rational(self, e, order=None) -> PuiseuxSeries:
-        """Raise to a rational power via the binomial series.
+        """Raise to a rational power via the binomial series, in every ring.
 
-        In exact mode the leading coefficient must admit an exact rational
-        e-th power; even denominators additionally require it positive.
-        ``order`` caps the absolute truncation of the result and is mandatory
-        whenever the expansion does not terminate and no truncation is
-        inherited from the operand.
+        The leading coefficient c must admit the e-th power in the ring: an
+        exact rational power for a Fraction, a parameter monomial for a
+        ``LaurentEps`` (except for a nonnegative integer e), and a positive
+        base under an even root.  ``order`` caps the absolute truncation of
+        the result and is mandatory whenever the expansion does not
+        terminate and no truncation is inherited from the operand.
 
-        Exact mode takes two shortcuts with unchanged results.  A positive
-        integer power of a truncated or non-monomial series is a chain of
-        products, whose bound ord + trunc is the binomial bound
+        A positive integer power of a truncated or non-monomial series is a
+        chain of products, whose bound ord + trunc is the binomial bound
         T + (n - 1) v.  An exact monomial keeps the general constructor,
         which reduces ``ram`` to the denominator of its one exponent, where a
-        product would keep the operand's.  Every other exact power runs the
-        integer-lattice recurrence of ``_binomial_sum`` straight from the
-        terms of ``self``.
+        product would keep the operand's.  Every other power writes
+        self = c t^v (1 + u) and hands u, the power of c and t^(e v) to the
+        class's binomial expansion (``_binomial``).
         """
         e = Fraction(e)
-        terminates = e.denominator == 1 and e >= 0
         if not self.terms:
             if self.is_zero():
                 if e > 0:
                     return self.zero()
                 raise ZeroDivisionError("zero series with nonpositive exponent")
-            if terminates and e > 0:
+            if e.denominator == 1 and e > 0:
                 # ord(f^n) = n ord(f) >= n trunc, and a known lead of f has
                 # an exact n-th power.  A root is not decided: its leading
                 # coefficient may be irrational or need a positive base, and
@@ -407,50 +399,41 @@ class PuiseuxSeries:
             raise ZeroUpToTruncationError(self.trunc)
         if e == 0:
             return self.one()
+        if self.ram > _ram_cap:
+            raise RamificationOverflow(f"ramification {self.ram} exceeds cap {_ram_cap}")
+        monomial = len(self.terms) == 1 and self.trunc is None
+        if e.denominator == 1 and e > 0 and not monomial:
+            out = self
+            for _ in range(e.numerator - 1):
+                out = out * self
+            return out
         v, c = self.terms[0]
-        exact = isinstance(c, Fraction)
-        if exact:
-            if self.ram > _ram_cap:
-                raise RamificationOverflow(f"ramification {self.ram} exceeds cap {_ram_cap}")
-            monomial = len(self.terms) == 1 and self.trunc is None
-            if terminates and not monomial:
-                out = self
-                for _ in range(e.numerator - 1):
-                    out = out * self
-                return out
-        else:
-            v, c, u = self._unit_part()
-            monomial = u.is_zero()
         lead_pow = _coeff_pow(c, e)
         head_exp = e * v
         if monomial:
             return type(self)(((head_exp, lead_pow),))
-        rel = self._relative_order(e, order)
-        if exact:
-            u = self._canonical(
-                tuple((x - v, k / c) for x, k in self.terms[1:]),
-                None if self.trunc is None else self.trunc - v,
-                self.ram,
-            )
-        return _binomial_sum(u, e, rel, lead=lead_pow, shift=head_exp)
-
-    def _relative_order(self, e: Fraction, order) -> Optional[Exp]:
-        """Relative order of the binomial expansion of ``self ** e``.
-
-        It is what the truncation leaves known past the lead, capped by
-        ``order`` (absolute) only when the expansion would otherwise be
-        infinite; None for the exact power of an exact series.
-        """
-        v = self.terms[0][0]
+        # the relative order of the expansion: what the truncation leaves
+        # known past the lead, capped by ``order`` (absolute)
         rel = None if self.trunc is None else self.trunc - v
-        if e.denominator != 1 or e < 0:
-            if order is not None:
-                rel = _min_bound(rel, Fraction(order) - e * v)
-            if rel is None:
-                raise UnboundedExpansion(
-                    "rational power of an exact non-monomial series needs an order"
-                )
-        return rel
+        if order is not None:
+            rel = _min_bound(rel, Fraction(order) - head_exp)
+        if rel is None:
+            raise UnboundedExpansion(
+                "rational power of an exact non-monomial series needs an order"
+            )
+        recip = 1 / c
+        # a float product can underflow to 0.0, so zeros are still dropped
+        u = self._canonical(
+            tuple((x - v, p) for x, k in self.terms[1:] if (p := k * recip)),
+            None if self.trunc is None else self.trunc - v,
+            self.ram,
+        )
+        return self._binomial(u, e, rel, lead_pow, head_exp)
+
+    @staticmethod
+    def _binomial(u, e, rel, lead, shift) -> PuiseuxSeries:
+        """``lead * t^shift * (1 + u)^e`` below t^(rel + shift), in this ring."""
+        return _binomial_sum(u, e, rel, lead, shift)
 
     def __pow__(self, e) -> PuiseuxSeries:
         return self.pow_rational(Fraction(e))
@@ -531,7 +514,7 @@ class PuiseuxSeries:
 
 
 def _coeff_pow(c, e: Fraction):
-    """e-th power of a coefficient, exact or float depending on mode."""
+    """e-th power of a coefficient in its ring: Fraction, float or LaurentEps."""
     if isinstance(c, Fraction):
         if c < 0 and e.denominator % 2 == 0:
             raise NegativeBaseForEvenRoot(f"({c})^{e}")
@@ -539,49 +522,35 @@ def _coeff_pow(c, e: Fraction):
         if p is None:
             raise IrrationalLeadingRoot(f"({c})^{e} is irrational")
         return p
-    if c < 0 and e.denominator % 2 == 0:
-        raise NegativeBaseForEvenRoot(f"({c})^{e}")
-    return float_pow(c, e)
+    if isinstance(c, float):
+        if c < 0 and e.denominator % 2 == 0:
+            raise NegativeBaseForEvenRoot(f"({c})^{e}")
+        return float_pow(c, e)
+    return c.pow_rational(e)
 
 
 def _binomial_sum(
-    u: PuiseuxSeries, e: Fraction, rel: Optional[Exp], lead=None, shift=None
+    u: PuiseuxSeries, e: Fraction, rel: Exp, lead=None, shift=None
 ) -> PuiseuxSeries:
     """``lead * t^shift * (1 + u)^e``, truncated at the relative order ``rel``.
 
-    ``rel`` None asks for the exact, terminating case (e a nonnegative
-    integer).  ``lead`` and ``shift`` default to 1 and 0.  The truncated case
-    runs the first-order recurrence obtained from (1 + u) h' = e u' h on the
-    dense ramification lattice, which is quadratic in the number of kept
-    lattice points.  Exact coefficients run it on integers (``_lattice_sum``);
-    floats, and ``rel`` None, run on the coefficients themselves.
+    ``lead`` and ``shift`` default to 1 and 0.  It runs the first-order
+    recurrence obtained from (1 + u) h' = e u' h on the dense ramification
+    lattice, which is quadratic in the number of kept lattice points.  Exact
+    coefficients run it on integers (``_lattice_sum``); floats run it on the
+    coefficients themselves.
     """
     floats = isinstance(lead, float) or (u.terms and isinstance(u.terms[0][1], float))
-    if rel is not None and not floats:
+    if not floats:
         return _lattice_sum(u, e, rel, lead, shift)
     body = _coefficient_sum(u, e, rel)
     return body if lead is None else body.scale(lead).shift(shift)
 
 
-def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Optional[Exp]) -> PuiseuxSeries:
-    """``_binomial_sum`` with arithmetic on the coefficients of ``u``, in the
-    ring of ``u``'s class."""
+def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Exp) -> PuiseuxSeries:
+    """``_binomial_sum`` with arithmetic on the coefficients of ``u``, which
+    the float ring needs."""
     ring = type(u)
-    if u.is_zero():
-        one = ring.one()
-        return one if rel is None else one + ring.unknown(rel)
-    if rel is None:
-        # terminating exact case: e is a nonnegative integer
-        out = ring.one()
-        term = ring.one()
-        coeff = Fraction(1)
-        for k in range(1, int(e) + 1):
-            coeff = coeff * (e - (k - 1)) / k
-            if coeff == 0:
-                break
-            term = term * u
-            out = out + term.scale(coeff)
-        return out
     ram = u.ram
     n_max = math.ceil(rel * ram) - 1
     if n_max < 0:
@@ -739,9 +708,7 @@ def reparam_inverse(f: PuiseuxSeries, target) -> PuiseuxSeries:
 
 
 def _render_exp(e: Exp) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
+    return render_rat(e) if e.denominator == 1 else f"({render_rat(e)})"
 
 
 def _render_coeff(c) -> str:

@@ -10,17 +10,28 @@ attached to a series of ramification q land on the lattice (1/q)Z.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+from .errors import DigitLimitExceeded
 
 Rat = Fraction
 Exp = Fraction
 
 
 def render_rat(a: Rat) -> str:
-    """Textual form ``p/q``, denominator omitted when 1."""
-    if a.denominator == 1:
-        return str(a.numerator)
-    return f"{a.numerator}/{a.denominator}"
+    """Textual form ``p/q``, denominator omitted when 1.
+
+    The interpreter's limit on the digits of an integer converted to text
+    bounds the work of a conversion, so a longer number is refused.
+    """
+    try:
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitExceeded(f"a number has more than {limit} digits to print") from None
 
 
 def lcm(a: int, b: int) -> int:

@@ -277,40 +277,17 @@ def holder_probe(
     if order is None:
         order = Fraction(spec.max_exp_num + 8)
     ratios = []  # (D/d, d, D, pair)
-    discarded = 0
-    produced = 0
-    i = 0
-    max_attempts = 50 * trials + 10
-    attempts = 0
-    while produced < trials and attempts < max_attempts:
-        attempts += 1
-        if i == 0:
-            gamma, delta = canonical_pair(spec)
-        else:
-            rng = random.Random(seed ^ i)
-            gamma, delta = sample_pair(rng, spec)
-        i += 1
-        d = tadic_ord_dist(gamma, delta)
-        if isinstance(d, ZeroUpToTruncation):
-            continue  # identical arcs carry no constraint
-        img = _image_ord_dist(h, gamma, delta, order)
-        if img is None:
-            discarded += 1
-            continue
+
+    def use(gamma, delta, d, img):
         if isinstance(img, ZeroUpToTruncation):
-            if img.trunc is None:
-                produced += 1  # equal images: no constraint, infinite ratio
-                continue
-            discarded += 1
-            continue
-        produced += 1
+            # equal images: no constraint, infinite ratio; else unresolved
+            return img.trunc is None
         ratios.append((Fraction(img) / d, d, img, (gamma, delta)))
-    if produced < trials:
-        raise DegenerateData(
-            f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
-        )
+        return True
+
+    discarded = _seeded_pairs(h, spec, trials, seed, order, use)
     if not ratios:
-        return HolderEstimate(Fraction(1), Fraction(0), produced, discarded, ("", ""))
+        return HolderEstimate(Fraction(1), Fraction(0), trials, discarded, ("", ""))
     worst = min(ratios, key=lambda r: r[0])
     cap = min(Fraction(1), worst[0])
     alpha = max(Fraction(0), best_rational_below(cap, alpha_max_den))
@@ -320,7 +297,39 @@ def holder_probe(
         "(" + ", ".join(render_series(s) for s in g) + ")",
         "(" + ", ".join(render_series(s) for s in dta) + ")",
     )
-    return HolderEstimate(alpha, offset, produced, discarded, rendered)
+    return HolderEstimate(alpha, offset, trials, discarded, rendered)
+
+
+def _seeded_pairs(h, spec, trials, seed, order, use) -> int:
+    """Feed seeded arc pairs to ``use`` until ``trials`` of them count.
+
+    The first pair is ``canonical_pair``, the i-th ``sample_pair`` on
+    Random(seed ^ i), and at most 50 trials + 10 are drawn.  Identical arcs
+    are skipped.  A pair whose images do not evaluate is discarded, and so
+    is one for which ``use(gamma, delta, d, img)`` returns False.  Returns
+    the discard count; too few counted pairs raise DegenerateData.
+    """
+    produced = discarded = 0
+    for i in range(50 * trials + 10):
+        if produced >= trials:
+            break
+        if i == 0:
+            gamma, delta = canonical_pair(spec)
+        else:
+            gamma, delta = sample_pair(random.Random(seed ^ i), spec)
+        d = tadic_ord_dist(gamma, delta)
+        if isinstance(d, ZeroUpToTruncation):
+            continue  # identical arcs carry no constraint
+        img = _image_ord_dist(h, gamma, delta, order)
+        if img is not None and use(gamma, delta, d, img):
+            produced += 1
+        else:
+            discarded += 1
+    if produced < trials:
+        raise DegenerateData(
+            f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
+        )
+    return discarded
 
 
 # -- power-law lower bound fitting -------------------------------------------------
@@ -441,7 +450,7 @@ def uniform_modulus_probe(
         return best
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
-            dx = _dist(points[a], points[b])
+            dx = _norm_diff(points[a], points[b])
             if dx >= best:
                 continue
             if _norm_diff(values[a], values[b]) >= epsilon:
@@ -451,10 +460,6 @@ def uniform_modulus_probe(
 
 def _norm_diff(u, v) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-
-
-def _dist(p, q) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
 # -- transfer checks -------------------------------------------------------------------
@@ -500,26 +505,7 @@ def transfer_check(
 
 
 def _check_injective(h, spec, trials, seed, order):
-    produced = 0
-    discarded = 0
-    i = 0
-    attempts = 0
-    while produced < trials and attempts < 50 * trials + 10:
-        attempts += 1
-        if i == 0:
-            gamma, delta = canonical_pair(spec)
-        else:
-            rng = random.Random(seed ^ i)
-            gamma, delta = sample_pair(rng, spec)
-        i += 1
-        d = tadic_ord_dist(gamma, delta)
-        if isinstance(d, ZeroUpToTruncation):
-            continue  # not distinguishably distinct
-        img = _image_ord_dist(h, gamma, delta, order)
-        if img is None:
-            discarded += 1
-            continue
-        produced += 1
+    def use(gamma, delta, _d, img):
         _injective_witness(img, gamma, delta)
         # a map symmetric in two coordinates sends an arc and its copy with
         # those coordinates swapped to one image, which independently drawn
@@ -528,11 +514,10 @@ def _check_injective(h, spec, trials, seed, order):
             for swapped in _swapped_copies(arc):
                 if not isinstance(tadic_ord_dist(arc, swapped), ZeroUpToTruncation):
                     _injective_witness(_image_ord_dist(h, arc, swapped, order), arc, swapped)
-    if produced < trials:
-        raise DegenerateData(
-            f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
-        )
-    return TransferReport("injective", produced, "pass")
+        return True
+
+    _seeded_pairs(h, spec, trials, seed, order, use)
+    return TransferReport("injective", trials, "pass")
 
 
 def _injective_witness(img, gamma, delta):

@@ -42,7 +42,7 @@ from .mapexpr import (
     map_expr,
     variables,
 )
-from .newton import PolyOverSeries, np_roots, numeric_difference
+from .newton import PolyOverSeries, _poly_mul_series, np_roots, numeric_difference
 from .param_series import (
     DivergenceWitness,
     ParamSeries,
@@ -396,19 +396,14 @@ def _poly_in_var(expr: Expr, var: int, env: dict, order):
         if isinstance(expr, Sub):
             b = [-c for c in b]
         out = [zero] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = out[i] + c
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        for part in (a, b):
+            for i, c in enumerate(part):
+                out[i] = out[i] + c
         return out
     if isinstance(expr, Mul):
-        a = _poly_in_var(expr.left, var, env, order)
-        b = _poly_in_var(expr.right, var, env, order)
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return out
+        return _poly_mul_series(
+            _poly_in_var(expr.left, var, env, order), _poly_in_var(expr.right, var, env, order)
+        )
     if isinstance(expr, Neg):
         return [-c for c in _poly_in_var(expr.arg, var, env, order)]
     if isinstance(expr, Div):
@@ -427,10 +422,6 @@ def _poly_in_var(expr: Expr, var: int, env: dict, order):
             raise UnsupportedShape("unknown under a non-polynomial power")
         out = [PuiseuxSeries.one()]
         for _ in range(int(e)):
-            nxt = [zero] * (len(out) + len(base) - 1)
-            for i, ca in enumerate(out):
-                for j, cb in enumerate(base):
-                    nxt[i + j] = nxt[i + j] + ca * cb
-            out = nxt
+            out = _poly_mul_series(out, base)
         return out
     raise UnsupportedShape(f"unsupported node {type(expr).__name__}")

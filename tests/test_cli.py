@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -181,6 +182,31 @@ class TestRoots:
         assert "float range" in err
 
 
+    @pytest.mark.parametrize("poly, order, expect", [
+        pytest.param("1/3*t^(1/3) - t^(3/2); 1/3; 1", "6", 0, id="1"),
+        pytest.param("-5/2*t^(2/3) + t^6; -5/2*t^(4/3); 2*t^3 + 1/3*t^6 + 1/3; 1", "6", 0,
+                     id="2"),
+        pytest.param("-t^4 + 1/3*t; -t^(4/3) + 2*t^(1/3); -1 + 1/3*t^3; 1", "16", 0, id="3"),
+        pytest.param("0; t^(1/2); 2*t^(1/3) - 5/2*t^6 + 1/3*t^2; t^4 + 1; 1", "10", 0, id="4"),
+        pytest.param("-5/2*t^5 + 2*t^4; -1 - 5/2*t^5; -t^2; 2 + 1/3*t^4 - 5/2*t^(1/2); 1",
+                     "6", 0, id="5"),
+        pytest.param("1/3*t^4 + 2*t; 2*t^(1/3) - t^(3/2); -t^6 + t^2; t^(4/3) + 1/3*t^2 - 1; 1",
+                     "16", 1, id="6"),
+        pytest.param("-t^2; 1/3*t; -t^4 - t; -5/2*t^(5/2) + t - 5/2*t^(1/2); 1", "16", 1,
+                     id="7"),
+    ])
+    def test_numeric_branches_are_certified_on_the_series(self, poly, order, expect):
+        code, out, err = run(["roots", poly, "--t-order", order, "--mode", "numeric",
+                              "--emit", "structured"])
+        assert code == expect and "Traceback" not in err
+        if code:
+            assert not out and err.startswith("error: branch residual")
+            assert err.count("\n") == 1
+        else:
+            branches = json.loads(out)["payload"]["branches"]
+            assert branches and all(b["exactness"] == "numeric" for b in branches)
+
+
 class TestEval:
     def test_whitney(self):
         code, out, _ = run([
@@ -248,6 +274,25 @@ class TestErrors:
         assert run(["roots", "-t; 1", "--ram-cap", "8"])[0] == 0
         assert run(argv)[0] == 1
         assert get_ram_cap() == before
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["roots", "-t; 1" + "0" * 400 + "; 1", "--t-order", "14"],
+                 f"error: a number has more than {DIGIT_LIMIT} digits to print", id="render"),
+    pytest.param(["roots", "-t; 1" + "0" * 5000 + "; 1"],
+                 f"expected an integer of at most {DIGIT_LIMIT} digits, found 5001 digits",
+                 id="parse-poly"),
+    pytest.param(["eval", "x^2", "--vars", "x", "--arc", "1" + "0" * 5000 + "*t"],
+                 f"at bytes 0..5001: expected an integer of at most {DIGIT_LIMIT} digits",
+                 id="parse-arc"),
+])
+def test_integer_past_the_digit_limit_is_one_error_line(argv, message):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert message in err and err.count("\n") == 1
 
 
 LOJA = ["probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x"]

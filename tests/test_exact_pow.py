@@ -198,3 +198,12 @@ def test_numeric_powers_agree_with_exact_ones(e):
     tol = 1e-12 * max(abs(c) for c in want.values())
     for x in got.keys() | want.keys():
         assert math.isclose(got.get(x, 0.0), want.get(x, 0), rel_tol=1e-9, abs_tol=tol)
+
+
+def test_numeric_integer_power_is_a_product_chain():
+    f = PuiseuxSeries([(F(1, 2), 0.3), (F(5, 6), -1.7), (F(3, 2), 2.1)], trunc=F(4))
+    for n in (2, 3, 4):
+        chain = f
+        for _ in range(n - 1):
+            chain = chain * f
+        assert f.pow_rational(n) == chain

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from arcfield import newton
 from arcfield.cli import main
-from arcfield.errors import IrrationalBranch, NoRealBranch
+from arcfield.errors import ArcFieldError, BranchNotCertified, IrrationalBranch, NoRealBranch
 from arcfield.mapexpr import eval_map_series
 from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots
-from arcfield.parser import parse_map
+from arcfield.parser import parse_map, parse_poly
 from arcfield.puiseux import PuiseuxSeries
 from arcfield.transport import solve_preimage_arc
 
@@ -273,6 +273,67 @@ def test_edge_roots_are_the_rational_factors(factors, k, scale):
     got = newton._edge_roots(edge, "numeric")
     assert got == rational + irrational
     assert [type(r) for r, _m in got] == [F] * len(rational) + [float] * len(irrational)
+
+
+NON_SQUARES = [2, 3, 5, -2, F(1, 2), F(2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots_strategy(),
+    st.one_of(st.none(), st.tuples(st.sampled_from(NON_SQUARES),
+                                   st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]))),
+    st.sampled_from([F(4), F(6)]),
+)
+def test_numeric_mode_keeps_the_rational_branches_beside_float_ones(roots, quad, target):
+    # prod (X - r) for rational series roots r, optionally times X^2 - k t^(2m)
+    # with k not a square, whose two real branches (for k > 0) are floats
+    extra = [] if quad is None else [[-t_pow(2 * quad[1], quad[0]), zero, one]]
+    try:
+        numeric = np_roots(poly_from_roots(roots, extra=extra), target, mode="numeric")
+    except ArcFieldError:
+        return
+    exact = np_roots(poly_from_roots(roots), target)
+    assert len(numeric) == len(exact) + (2 if quad is not None and quad[0] > 0 else 0)
+
+    def known(b):  # what a branch says below the target
+        s = b.series.truncate(target)
+        return b.multiplicity, s.terms, s.trunc
+
+    got = [known(b) for b in numeric]
+    for b in exact:
+        m, terms, trunc = known(b)
+        assert (m, tuple((e, float(c)) for e, c in terms), trunc) in got
+
+
+# polynomials, t-orders and the numeric exit codes: the first five have
+# certified branches, and exact mode returns those of 1, 3 and 4
+CERTIFIED_ON_THE_SERIES = [
+    ("1/3*t^(1/3) - t^(3/2); 1/3; 1", "6", 0),
+    ("-5/2*t^(2/3) + t^6; -5/2*t^(4/3); 2*t^3 + 1/3*t^6 + 1/3; 1", "6", 0),
+    ("-t^4 + 1/3*t; -t^(4/3) + 2*t^(1/3); -1 + 1/3*t^3; 1", "16", 0),
+    ("0; t^(1/2); 2*t^(1/3) - 5/2*t^6 + 1/3*t^2; t^4 + 1; 1", "10", 0),
+    ("-5/2*t^5 + 2*t^4; -1 - 5/2*t^5; -t^2; 2 + 1/3*t^4 - 5/2*t^(1/2); 1", "6", 0),
+    ("1/3*t^4 + 2*t; 2*t^(1/3) - t^(3/2); -t^6 + t^2; t^(4/3) + 1/3*t^2 - 1; 1", "16", 1),
+    ("-t^2; 1/3*t; -t^4 - t; -5/2*t^(5/2) + t - 5/2*t^(1/2); 1", "16", 1),
+]
+
+
+@pytest.mark.parametrize("text, order", [CERTIFIED_ON_THE_SERIES[i][:2] for i in (0, 2, 3)])
+def test_rational_branches_with_large_coefficients_are_the_exact_ones(text, order):
+    p = parse_poly(text)
+    exact = np_roots(p, F(order))
+    numeric = np_roots(p, F(order), mode="numeric")
+    assert [b.series.terms for b in numeric] == [
+        tuple((e, float(c)) for e, c in b.series.terms) for b in exact]
+
+
+@pytest.mark.parametrize("text, order", [CERTIFIED_ON_THE_SERIES[i][:2] for i in (5, 6)])
+def test_float_branch_with_a_residual_below_the_target_is_refused(text, order):
+    # P at these float branches, each float taken as its exact rational,
+    # keeps a residual term below t^16 of 10% to 15% of its magnitude
+    with pytest.raises(BranchNotCertified):
+        np_roots(parse_poly(text), F(order), mode="numeric")
 
 
 def test_gate_numeric_report_is_the_exact_branch_in_floats():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcfield import puiseux
-from arcfield.errors import IrrationalLeadingRoot, RamificationOverflow
+from arcfield.errors import IrrationalLeadingRoot, RamificationOverflow, ZeroUpToTruncationError
 from arcfield.param_series import (
     DivergenceWitness,
     LaurentEps,
@@ -217,6 +217,26 @@ class TestKernelBoundary:
             assert type(r) is ParamSeries
             assert all(type(c) is LaurentEps for _e, c in r.terms)
 
+    def test_unknown_to_a_positive_integer_power_is_unknown(self):
+        # O(t^T)^n = O(t^(nT)), as in the kernel
+        for n in (1, 2, 3):
+            got = ParamSeries.unknown(F(3, 2)).pow_rational(F(n))
+            assert type(got) is ParamSeries and not got.terms and got.trunc == F(3 * n, 2)
+        with pytest.raises(ZeroUpToTruncationError):
+            ParamSeries.unknown(2).pow_rational(F(1, 2), order=4)
+
+    def test_only_integer_powers_of_a_non_monomial_lead_exist(self):
+        c = LaurentEps({0: F(1), 1: F(2)})
+        assert c.pow_rational(F(3)) == c * c * c
+        assert c.pow_rational(F(0)) == LaurentEps.constant(1)
+        p = ParamSeries(((F(1), c),))
+        assert p.pow_rational(F(2)) == ParamSeries(((F(2), c * c),))
+        for e in (F(-1), F(1, 2)):
+            with pytest.raises(IrrationalLeadingRoot):
+                c.pow_rational(e)
+            with pytest.raises(IrrationalLeadingRoot):
+                p.pow_rational(e, order=4)
+
     def test_plain_series_do_not_mix_in(self):
         with pytest.raises(TypeError):
             eps_t(1, 1) + PuiseuxSeries.one()
@@ -325,6 +345,16 @@ def test_param_binomial_matches_the_laurent_recurrence(case):
     got = _param_binomial(u, e, rel)
     ref = reference_param_binomial(u, e, rel)
     assert (got.terms, got.trunc, got.ram) == (ref.terms, ref.trunc, ref.ram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomial_cases(), laurent_rows().filter(LaurentEps.is_monomial),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2))
+def test_param_binomial_writes_lead_and_shift_into_its_rows(case, lead, shift):
+    u, e, rel = case
+    got = _param_binomial(u, e, rel, lead, shift)
+    want = _param_binomial(u, e, rel).scale(lead).shift(shift)
+    assert (got.terms, got.trunc, got.ram) == (want.terms, want.trunc, want.ram)
 
 
 def test_param_binomial_rows_that_cancel():

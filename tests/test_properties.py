@@ -249,7 +249,9 @@ def renormalized(f):
 def test_fast_constructor_outputs_are_canonical(f, c, k):
     outs = [-f, f.scale(c), f.shift(k), f.truncate(k)]
     if f.terms:
-        v, _c, u = f._unit_part()
+        v, c = f.terms[0]
+        # f = c t^v (1 + u), with u built by the operations under test
+        u = PuiseuxSeries(f.terms[1:], trunc=f.trunc, ram=f.ram).shift(-v).scale(1 / c)
         outs.append(u)
         rel = v + 4 if f.trunc is None else f.trunc - v
         if rel > 0:
