@@ -2,7 +2,7 @@
 topology probes on arc spaces."""
 
 from .errors import ArcFieldError
-from .newton import PolyOverSeries, RootBranch, np_roots, rc_witness_odd, sqrt_positive
+from .newton import PolyOverSeries, RootBranch, np_roots, rc_witness_odd
 from .param_series import (
     DivergenceWitness,
     LaurentEps,
@@ -73,7 +73,6 @@ __all__ = [
     "reparam_inverse",
     "select_m0n0",
     "solve_preimage_arc",
-    "sqrt_positive",
     "tadic_ord_dist",
     "transfer_check",
     "uniform_modulus_probe",

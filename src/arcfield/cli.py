@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mapexpr import MapExpr, eval_map_series, free_vars
 from .param_series import param_rows, render_param_series
-from .parser import parse_map, parse_poly, parse_series
+from .parser import chunk_spans, parse_map, parse_poly, parse_series
 from .puiseux import render_series
 from .qarith import render_rat
 from .newton import np_roots
@@ -436,7 +436,8 @@ def run_roots(cfg: RunConfig, poly_text: str) -> Report:
 
 def run_eval(cfg: RunConfig, map_text: str, arc_text: str, vars_text: str) -> Report:
     m = _pruned_map(_expand_at(map_text), _parse_vars(vars_text))
-    comps = tuple(parse_series(chunk) for chunk in _expand_at(arc_text).split(";"))
+    arc = _expand_at(arc_text)
+    comps = tuple(parse_series(arc, a, b) for a, b in chunk_spans(arc))
     if len(comps) != m.arity:
         raise ConfigError(f"arc has {_count(len(comps), 'component')}, the map takes {m.arity}")
     image = eval_map_series(m, comps, order=cfg.t_order)

@@ -210,12 +210,18 @@ def eval_map_float(m: MapExpr, point) -> tuple:
 # -- series evaluation --------------------------------------------------------
 
 
-def eval_series(expr: Expr, comps, order=None):
+def eval_series(expr: Expr, comps, order=None, rel=None):
     """Evaluate on series components (PuiseuxSeries or ParamSeries alike).
 
     ``order`` caps truncations wherever an inverse or a fractional power
     opens an infinite expansion.  Guards: denominators need a decidable
     leading term; even-denominator powers need a positive leading sign.
+
+    With ``rel`` given, each such expansion also stops ``rel`` past its own
+    lead: a power of a base with lead t^v is capped at min(order, e v + rel)
+    and an inverse at min(order, rel - v).  A base with no known term keeps
+    ``order``.  The cap never exceeds ``order``, so every node knows at most
+    what it knows with ``rel=None``.
     """
     ring = type(comps[0])
     if isinstance(expr, Var):
@@ -223,47 +229,60 @@ def eval_series(expr: Expr, comps, order=None):
     if isinstance(expr, Const):
         return ring.constant(expr.value)
     if isinstance(expr, Add):
-        return eval_series(expr.left, comps, order) + eval_series(expr.right, comps, order)
+        return eval_series(expr.left, comps, order, rel) + eval_series(
+            expr.right, comps, order, rel
+        )
     if isinstance(expr, Sub):
-        return eval_series(expr.left, comps, order) - eval_series(expr.right, comps, order)
+        return eval_series(expr.left, comps, order, rel) - eval_series(
+            expr.right, comps, order, rel
+        )
     if isinstance(expr, Mul):
         # an exactly-zero factor annihilates values that are real but not
         # exactly representable (irrational leading roots); genuine guard
         # violations still surface
         try:
-            left = eval_series(expr.left, comps, order)
+            left = eval_series(expr.left, comps, order, rel)
         except IrrationalLeadingRoot:
-            right = eval_series(expr.right, comps, order)
+            right = eval_series(expr.right, comps, order, rel)
             if right.is_zero():
                 return right
             raise
         if left.is_zero():
             try:
-                eval_series(expr.right, comps, order)
+                eval_series(expr.right, comps, order, rel)
             except IrrationalLeadingRoot:
                 return left
             return left
-        return left * eval_series(expr.right, comps, order)
+        return left * eval_series(expr.right, comps, order, rel)
     if isinstance(expr, Div):
-        den = eval_series(expr.right, comps, order)
+        den = eval_series(expr.right, comps, order, rel)
         if den.is_zero():
             raise GuardViolation("division by the zero series")
-        return eval_series(expr.left, comps, order) * den.inv(order=order)
+        inv = den.inv(order=_relative_cap(den, Fraction(-1), order, rel))
+        return eval_series(expr.left, comps, order, rel) * inv
     if isinstance(expr, Neg):
-        return -eval_series(expr.arg, comps, order)
+        return -eval_series(expr.arg, comps, order, rel)
     if isinstance(expr, Pow):
-        base = eval_series(expr.base, comps, order)
+        base = eval_series(expr.base, comps, order, rel)
         e = expr.exponent
         if e.denominator % 2 == 0 and not base.is_lead_positive():
             raise GuardViolation("even root of a series not positive near 0+")
-        return base.pow_rational(e, order=order)
+        return base.pow_rational(e, order=_relative_cap(base, e, order, rel))
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 
-def eval_map_series(m: MapExpr, comps, order=None) -> tuple:
+def _relative_cap(base, e: Fraction, order, rel):
+    """Order cap for base^e: ``order``, lowered to e v + rel for a lead t^v."""
+    if rel is None or not base.terms:
+        return order
+    cap = e * base.terms[0][0] + rel
+    return cap if order is None or cap < order else order
+
+
+def eval_map_series(m: MapExpr, comps, order=None, rel=None) -> tuple:
     if len(comps) != m.arity:
         raise ValueError("arc dimension does not match map arity")
-    return tuple(eval_series(e, comps, order) for e in m.exprs)
+    return tuple(eval_series(e, comps, order, rel) for e in m.exprs)
 
 
 # -- symbolic differentiation -------------------------------------------------

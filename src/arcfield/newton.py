@@ -50,7 +50,6 @@ from .errors import (
     FloatOverflow,
     IrrationalBranch,
     NoRealBranch,
-    NotPositive,
     TruncationExhausted,
 )
 from .puiseux import PuiseuxSeries, _min_bound, _render_exp
@@ -799,15 +798,6 @@ def _bisect_root(ints, lo, hi, k):
     return float(hi)
 
 
-# -- helpers shared with numeric mode ------------------------------------------
-
-
-def _float_series(f: PuiseuxSeries) -> PuiseuxSeries:
-    return PuiseuxSeries(
-        tuple((e, float(c)) for e, c in f.terms), trunc=f.trunc, ram=f.ram
-    )
-
-
 # -- the real-closedness witnesses ---------------------------------------------
 
 
@@ -820,15 +810,3 @@ def rc_witness_odd(P: PolyOverSeries, target, mode: str = "exact") -> RootBranch
         raise ValueError(f"degree {P.degree} is not odd")
     branches = np_roots(P, target, mode=mode)  # not empty at odd degree
     return next((b for b in branches if b.multiplicity % 2), branches[0])
-
-
-def sqrt_positive(f: PuiseuxSeries, target, mode: str = "exact") -> PuiseuxSeries:
-    """Square root of a positive series; result is the positive branch.
-
-    Positivity in the field order means a positive leading coefficient.
-    """
-    lead = f.lead()
-    if lead is None or lead[1] <= 0:
-        raise NotPositive("series is not positive in the field order")
-    g = _float_series(f) if mode == "numeric" else f
-    return g.pow_rational(Fraction(1, 2), order=Fraction(target))

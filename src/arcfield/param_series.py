@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot
 from .puiseux import PuiseuxSeries, _lattice_base, _render_exp
-from .qarith import Exp, Rat, lcm, rational_pow, render_rat
+from .qarith import Exp, Rat, lcm, message_number, rational_pow, render_rat
 
 
 class LaurentEps:
@@ -133,10 +133,10 @@ class LaurentEps:
                 f"parameter exponent {k}*{e} is not an integer"
             )
         if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({c})^{e}")
+            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
         p = rational_pow(c, e)
         if p is None:
-            raise IrrationalLeadingRoot(f"({c})^{e} is irrational")
+            raise IrrationalLeadingRoot(f"({message_number(c)})^{e} is irrational")
         return LaurentEps(((int(ke), p),))
 
     def at(self, eps0: Rat) -> Rat:

@@ -45,25 +45,30 @@ from .puiseux import PuiseuxSeries
 
 
 class _Scanner:
-    """Byte-position tokenizer shared by both grammars."""
+    """Byte-position tokenizer shared by both grammars.
 
-    def __init__(self, text: str):
+    It reads ``text[start:end]``, and every span it reports is a position in
+    the whole ``text``.
+    """
+
+    def __init__(self, text: str, start: int = 0, end: Optional[int] = None):
         self.text = text
-        self.pos = 0
+        self.pos = start
+        self.end = len(text) if end is None else end
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < self.end and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos] if self.pos < self.end else ""
 
     def error(self, expected: str, span_from: Optional[int] = None) -> ParseError:
         self.skip_ws()
         start = self.pos if span_from is None else span_from
-        end = min(len(self.text), max(start + 1, self.pos))
-        found = self.text[start:end] if start < len(self.text) else "end of input"
+        end = min(self.end, max(start + 1, self.pos))
+        found = self.text[start:end] if start < self.end else "end of input"
         return ParseError(start, end, expected, repr(found), self.text)
 
     def take(self, literal: str) -> bool:
@@ -79,15 +84,15 @@ class _Scanner:
 
     def at_end(self) -> bool:
         self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.pos >= self.end
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+        if self.pos < self.end and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+        while self.pos < self.end and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -102,7 +107,7 @@ class _Scanner:
     def ident(self) -> Optional[str]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (
+        while self.pos < self.end and (
             self.text[self.pos].isalpha() or self.text[self.pos] == "_"
         ):
             self.pos += 1
@@ -126,9 +131,13 @@ def _exp_value(sc: _Scanner) -> Fraction:
 # -- series literals -------------------------------------------------------------
 
 
-def parse_series(text: str) -> PuiseuxSeries:
-    """Parse the canonical series grammar into a truncated series."""
-    sc = _Scanner(text)
+def parse_series(text: str, start: int = 0, end: Optional[int] = None) -> PuiseuxSeries:
+    """Parse the canonical series grammar into a truncated series.
+
+    ``start`` and ``end`` select a slice of ``text`` to parse; error spans
+    stay positions in the whole ``text``.
+    """
+    sc = _Scanner(text, start, end)
     terms: List[Tuple[Fraction, Fraction]] = []
     seen = {}
     trunc = None
@@ -319,8 +328,10 @@ def parse_poly(text: str) -> PolyOverSeries:
     parenthesized series literals.
     """
     if ";" in text:
-        parts = text.split(";")
-        return PolyOverSeries(tuple(_series_or_zero(p) for p in parts))
+        return PolyOverSeries(tuple(
+            PuiseuxSeries.zero() if text[a:b] == "0" else parse_series(text, a, b)
+            for a, b in chunk_spans(text)
+        ))
     sc = _Scanner(text)
     acc: dict = {}
     sign = -1 if sc.take("-") else 1
@@ -340,11 +351,15 @@ def parse_poly(text: str) -> PolyOverSeries:
     return PolyOverSeries(tuple(coeffs))
 
 
-def _series_or_zero(chunk: str) -> PuiseuxSeries:
-    body = chunk.strip()
-    if body == "0":
-        return PuiseuxSeries.zero()
-    return parse_series(body)
+def chunk_spans(text: str):
+    """``(start, end)`` of each ``;``-separated chunk, whitespace stripped,
+    for ``parse_series(text, start, end)``."""
+    start = 0
+    for chunk in text.split(";"):
+        body = chunk.lstrip()
+        a = start + len(chunk) - len(body)
+        yield a, a + len(body.rstrip())
+        start += len(chunk) + 1
 
 
 def _parse_poly_term(sc: _Scanner):
@@ -356,7 +371,7 @@ def _parse_poly_term(sc: _Scanner):
         start = sc.pos
         depth = 0
         i = sc.pos
-        while i < len(sc.text):
+        while i < sc.end:
             if sc.text[i] == "(":
                 depth += 1
             elif sc.text[i] == ")":
@@ -365,9 +380,8 @@ def _parse_poly_term(sc: _Scanner):
                     break
             i += 1
         if depth != 0:
-            raise ParseError(start, len(sc.text), "a closing ')'", "end of input", sc.text)
-        inner = sc.text[start + 1 : i]
-        series = parse_series(inner)
+            raise ParseError(start, sc.end, "a closing ')'", "end of input", sc.text)
+        series = parse_series(sc.text, start + 1, i)
         sc.pos = i + 1
     else:
         exp, coeff = _parse_term(sc)

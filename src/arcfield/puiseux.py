@@ -52,7 +52,7 @@ from .errors import (
     UnboundedExpansion,
     ZeroUpToTruncationError,
 )
-from .qarith import Exp, Rat, float_pow, lcm, rational_pow, render_rat
+from .qarith import Exp, Rat, float_pow, lcm, message_number, rational_pow, render_rat
 
 DEFAULT_RAM_CAP = 64
 _ram_cap = DEFAULT_RAM_CAP
@@ -517,14 +517,14 @@ def _coeff_pow(c, e: Fraction):
     """e-th power of a coefficient in its ring: Fraction, float or LaurentEps."""
     if isinstance(c, Fraction):
         if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({c})^{e}")
+            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
         p = rational_pow(c, e)
         if p is None:
-            raise IrrationalLeadingRoot(f"({c})^{e} is irrational")
+            raise IrrationalLeadingRoot(f"({message_number(c)})^{e} is irrational")
         return p
     if isinstance(c, float):
         if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({c})^{e}")
+            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
         return float_pow(c, e)
     return c.pow_rational(e)
 
@@ -750,10 +750,3 @@ Arc = tuple  # n-tuple of PuiseuxSeries
 def arc(*components) -> Arc:
     """Bundle series into an arc (tuple of components)."""
     return tuple(PuiseuxSeries._coerce(c) for c in components)
-
-
-def arc_sub(a: Arc, b: Arc) -> Arc:
-    if len(a) != len(b):
-        raise ValueError("arc dimensions differ")
-    return tuple(x - y for x, y in zip(a, b))
-

@@ -34,6 +34,28 @@ def render_rat(a: Rat) -> str:
         raise DigitLimitExceeded(f"a number has more than {limit} digits to print") from None
 
 
+def message_number(x) -> str:
+    """``x`` as text for an error message, which composing never raises.
+
+    Past the interpreter's limit on the digits of an integer converted to
+    text, the count of the digits stands in for them.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        digits = sum(_digit_count(n) for n in (x.numerator, x.denominator) if n != 1)
+        return f"<a number of {digits} digits>"
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of a nonzero integer, without converting it to text."""
+    n = abs(n)
+    k = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # never too many
+    while 10**k <= n:
+        k += 1
+    return k
+
+
 def lcm(a: int, b: int) -> int:
     return abs(a * b) // math.gcd(a, b) if a and b else 0
 

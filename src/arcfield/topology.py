@@ -11,16 +11,23 @@ be distributed without changing the report.
 
 The Hoelder and injectivity probes only compare two images, and the first
 differing term usually sits far below the working order.  So they evaluate
-the images on a precision ladder (order/8, order/4, order/2, order) and stop
-at the first rung that decides ord(h(gamma) - h(delta)).  This is exact, not
-a heuristic: every coefficient known at a low working order is the true one,
-so a known leading exponent, an exact equality, or an error raised from a
+the images on a precision ladder and stop at the first rung that decides
+ord(h(gamma) - h(delta)).  The three low rungs run at relative precision
+rel = order/8, order/4, order/2: every inverse and rational power of the
+map expands only rel past its own leading exponent, never past ``order``
+(``eval_series(..., order, rel)``).  The last rung is the evaluation at the
+full order.  This is exact, not a heuristic.  Because no expansion passes
+``order``, what a node of the map knows at a rung is a part of what it knows
+at the full order, and every coefficient known at a rung is the true one.
+So a known leading exponent, an exact equality, or an error raised from a
 known leading coefficient is what the full order gives too.  An evaluation
-that succeeds at a low order also succeeds at the full order: a power of a
+that succeeds at a rung also succeeds at the full order: a power of a
 series with no known term succeeds only for a positive integer exponent,
 and the ramification of every intermediate series, which the cap bounds,
-does not depend on the order.  Undecided rungs move on, and the last rung
-is the evaluation at the full order.
+does not depend on the precision.  A rung that let an expansion run past
+``order`` could know a coefficient that the full order discards, and so
+decide a pair that the full order leaves unresolved.  Undecided rungs move
+on to the next.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import (
     GuardViolation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
+    RamificationOverflow,
 )
 from .mapexpr import MapExpr, eval_map_float, eval_map_series
 from .newton import numeric_difference
@@ -46,9 +54,11 @@ from .puiseux import (
     DIVERGES,
     PuiseuxSeries,
     ZeroUpToTruncation,
-    arc_sub,
+    _min_bound,
+    get_ram_cap,
     render_series,
 )
+from .qarith import lcm
 from .transport import solve_preimage_arc
 
 
@@ -57,25 +67,43 @@ def tadic_ord_dist(gamma: Sequence, delta: Sequence):
 
     Returns an exponent, or ZeroUpToTruncation(None) when the arcs agree
     exactly, or ZeroUpToTruncation(bound) when they agree on all known
-    coefficients below ``bound``.
+    coefficients below ``bound``.  Each component's difference is read by one
+    walk over the two sorted term lists, without building it.
     """
-    diffs = arc_sub(tuple(gamma), tuple(delta))
+    if len(gamma) != len(delta):
+        raise ValueError("arc dimensions differ")
+    cap = get_ram_cap()
     known = []
     bounds = []
-    exact = True
-    for d in diffs:
-        lead = d.lead()
+    for x, y in zip(gamma, delta):
+        ram = lcm(x.ram, y.ram)
+        if ram > cap:
+            raise RamificationOverflow(f"ramification {ram} exceeds cap {cap}")
+        bound = _min_bound(x.trunc, y.trunc)
+        lead = _first_difference(x.terms, y.terms, bound)
         if lead is not None:
-            known.append(lead[0])
-            exact = False
-        elif not d.is_zero():
-            bounds.append(d.trunc)
-            exact = False
-    if exact:
-        return ZeroUpToTruncation(None)
+            known.append(lead)
+        elif bound is not None:
+            bounds.append(bound)
     if known and (not bounds or min(known) <= min(bounds)):
         return min(known)
     return ZeroUpToTruncation(min(bounds) if bounds else None)
+
+
+def _first_difference(a, b, bound):
+    """Least exponent below ``bound`` where the term lists a, b differ.
+
+    Both lists are sorted with nonzero coefficients, so past their common
+    prefix the lesser next exponent carries a nonzero difference.
+    """
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    rest = [s[i][0] for s in (a, b) if i < len(s)]
+    if not rest:
+        return None
+    e = min(rest)
+    return e if bound is None or e < bound else None
 
 
 @dataclass(frozen=True)
@@ -200,21 +228,23 @@ _FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
 def _image_ord_dist(h: MapExpr, gamma, delta, order):
     """tadic_ord_dist(h(gamma), h(delta)) with both images at working ``order``.
 
-    Returns None where evaluating the images at ``order``, or subtracting
+    Returns None where evaluating the images at ``order``, or comparing
     them, raises ArcFieldError.
-    The images are first evaluated at order/8, order/4 and order/2, and a
-    rung's outcome is returned only when it holds at every order: a known
-    leading exponent of the difference, exactly equal images, or an error
-    that comes from a known leading coefficient.  Anything else (a guard or
-    lead that is merely unknown, an unresolved difference) moves to the next
-    rung, and the last rung is the plain evaluation at ``order``.
+    The images are first evaluated at relative precision order/8, order/4
+    and order/2 (``eval_map_series(..., order=order, rel=...)``: every
+    expansion runs that far past its own lead, and never past ``order``),
+    and a rung's outcome is returned only when it holds at every order: a
+    known leading exponent of the difference, exactly equal images, or an
+    error that comes from a known leading coefficient.  Anything else (a
+    guard or lead that is merely unknown, an unresolved difference) moves to
+    the next rung, and the last rung is the plain evaluation at ``order``.
     """
     top = Fraction(order)
-    for rung in (top / 8, top / 4, top / 2):
+    for rel in (top / 8, top / 4, top / 2):
         try:
             img = tadic_ord_dist(
-                eval_map_series(h, gamma, order=rung),
-                eval_map_series(h, delta, order=rung),
+                eval_map_series(h, gamma, order=top, rel=rel),
+                eval_map_series(h, delta, order=top, rel=rel),
             )
         except _FINAL_ERRORS:
             return None
@@ -268,9 +298,10 @@ def holder_probe(
     Pairs whose images cannot be evaluated (root guards) or whose image
     difference does not resolve at the working order are discarded and
     counted, not fatal.  Images are compared by ``_image_ord_dist``, which
-    settles a pair at the lowest rung of order/8, order/4, order/2, order
-    that decides it; the estimate equals the one with every image evaluated
-    at ``order`` (see the module docstring).  alpha is searched over
+    settles a pair at the lowest rung that decides it: relative precision
+    order/8, order/4 or order/2, capped at ``order``, then ``order`` itself.
+    The estimate equals the one with every image evaluated at ``order``
+    (see the module docstring).  alpha is searched over
     rationals in (0, 1] with bounded denominator; the offset is the worst
     slack at that alpha, so it is nonnegative by construction.
     """

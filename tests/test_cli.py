@@ -295,6 +295,25 @@ def test_integer_past_the_digit_limit_is_one_error_line(argv, message):
     assert message in err and err.count("\n") == 1
 
 
+def test_error_message_names_the_digit_count_past_the_limit():
+    # the lead of x^3 has 9001 digits, and its square root is irrational
+    code, out, err = run(["eval", "(x^3)^(1/2)", "--vars", "x", "--arc", "2" + "0" * 3000 + "*t"])
+    assert code == 1 and not out
+    assert err == "error: (<a number of 9001 digits>)^1/2 is irrational\n"
+
+
+@pytest.mark.parametrize("argv, span", [
+    pytest.param(["roots", "-t; 1 + ; 1"], "bytes 7..7", id="roots-dangling-plus"),
+    pytest.param(["roots", "-t; 1" + "0" * 5000 + "; 1"], "bytes 4..5005", id="roots-long-literal"),
+    pytest.param(["roots", "X^2 - (t + )"], "bytes 11..11", id="roots-parenthesized"),
+    pytest.param(["eval", "(x, y)", "--arc", "t; t +"], "bytes 6..6", id="eval-arc"),
+])
+def test_parse_error_spans_are_positions_in_the_whole_input(argv, span):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert err.startswith(f"parse error at {span}:") and err.count("\n") == 1
+
+
 LOJA = ["probe", "loja", "--phi1", "x^2", "--phi2", "x", "--vars", "x"]
 UNIF = ["probe", "unif", "--map", "x", "--vars", "x"]
 TRANSPORT = ["probe", "transport", "--map", "x^3", "--vars", "x", "--transfer-kind"]

@@ -18,7 +18,14 @@ from arcfield.errors import (
 from arcfield.mapexpr import Pow, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
 from arcfield.parser import parse_map
-from arcfield.puiseux import DIVERGES, PuiseuxSeries, ZeroUpToTruncation, render_series
+from arcfield.puiseux import (
+    DIVERGES,
+    PuiseuxSeries,
+    ZeroUpToTruncation,
+    get_ram_cap,
+    render_series,
+    set_ram_cap,
+)
 from arcfield.topology import (
     ArcSamplerSpec,
     HolderEstimate,
@@ -77,6 +84,89 @@ class TestTadicDistance:
             for d in (dxy, dyz, dxz):
                 vals.append(F(10**9) if isinstance(d, ZeroUpToTruncation) else d)
             assert vals[2] >= min(vals[0], vals[1])
+
+
+def subtraction_ord_dist(gamma, delta):
+    """tadic_ord_dist as first written: build each difference series, read it."""
+    if len(gamma) != len(delta):
+        raise ValueError("arc dimensions differ")
+    known, bounds, exact = [], [], True
+    for d in (x - y for x, y in zip(gamma, delta)):
+        lead = d.lead()
+        if lead is not None:
+            known.append(lead[0])
+            exact = False
+        elif not d.is_zero():
+            bounds.append(d.trunc)
+            exact = False
+    if exact:
+        return ZeroUpToTruncation(None)
+    if known and (not bounds or min(known) <= min(bounds)):
+        return min(known)
+    return ZeroUpToTruncation(min(bounds) if bounds else None)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (RamificationOverflow, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def arc_pairs(draw):
+    """Arcs of mixed ramification, some components truncated, and a partner
+    that shares, perturbs, truncates or replaces each component."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dim = draw(st.integers(1, 3))
+    gamma, delta = [], []
+    for _ in range(dim):
+        x = random_series(rng, max_den=6, min_exp=F(0))
+        mode = rng.randrange(4)
+        if mode == 0:
+            y = x
+        elif mode == 1:
+            y = x + random_series(rng, max_den=6, min_exp=F(0))
+        elif mode == 2:
+            y = x.truncate(F(rng.randint(0, 24), rng.randint(1, 4)))
+        else:
+            y = random_series(rng, max_den=6, min_exp=F(0))
+        gamma.append(x)
+        delta.append(y)
+    return tuple(gamma), tuple(delta)
+
+
+class TestMergedDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(arc_pairs(), st.integers(0, 30))
+    def test_matches_the_subtraction(self, pair, slack):
+        gamma, delta = pair
+        # a cap no lower than any one ramification, as when the arcs were
+        # built under it, so only the lcm of a pair can pass it
+        cap = max(s.ram for s in gamma + delta) + slack
+        before = get_ram_cap()
+        set_ram_cap(cap)
+        try:
+            assert outcome(tadic_ord_dist, gamma, delta) == outcome(
+                subtraction_ord_dist, gamma, delta
+            )
+        finally:
+            set_ram_cap(before)
+
+    def test_lcm_past_the_cap_raises_as_the_subtraction_does(self):
+        gamma = (PuiseuxSeries.t_power(F(1, 3)),)
+        delta = (PuiseuxSeries.t_power(F(1, 4)),)
+        before = get_ram_cap()
+        set_ram_cap(8)
+        try:
+            got = outcome(tadic_ord_dist, gamma, delta)
+            assert got == (RamificationOverflow, "ramification 12 exceeds cap 8")
+            assert got == outcome(subtraction_ord_dist, gamma, delta)
+        finally:
+            set_ram_cap(before)
+
+    def test_dimension_mismatch(self):
+        assert outcome(tadic_ord_dist, (t,), (t, t)) == (ValueError, "arc dimensions differ")
 
 
 class TestProductLimit:
@@ -365,6 +455,13 @@ CHEAP_MAPS = {
         ArcSamplerSpec(dim=1),
     ),
 }
+# denominators whose lead lies far above the order of the quotient, where an
+# inverse at an absolute cap expands much further than the quotient needs
+DENOMINATOR_MAPS = {
+    "xy-over-square-norm": (parse_map("(x*y/(x^2+y^2), y)", ("x", "y")), ArcSamplerSpec(dim=2)),
+    "x-over-square": (parse_map("x/(x^2 + x^3)", ("x",)), ArcSamplerSpec(dim=1)),
+    "root-over-sum": (parse_map("(x*y)^(1/2)/(x + y)", ("x", "y")), ArcSamplerSpec(dim=2)),
+}
 STRETCH_MAPS = {
     "stretch": (radial_stretch_map(), ArcSamplerSpec(dim=2)),
     "stretch-min-ord": (radial_stretch_map(), ArcSamplerSpec(dim=2, min_lead_exp=(F(1), F(2)))),
@@ -428,6 +525,34 @@ class TestImageLadder:
     @given(st.sampled_from(sorted(STRETCH_MAPS)), st.integers(0, 2**32))
     def test_matches_full_order_stretch(self, name, seed):
         _check_ladder(STRETCH_MAPS, name, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(DENOMINATOR_MAPS)), st.integers(0, 2**32))
+    def test_matches_full_order_high_valuation_denominator(self, name, seed):
+        _check_ladder(DENOMINATOR_MAPS, name, seed)
+
+    @pytest.mark.parametrize("name", sorted(DENOMINATOR_MAPS))
+    def test_holder_probe_matches_full_order_high_valuation_denominator(self, name):
+        h, spec = DENOMINATOR_MAPS[name]
+        for seed in (1, 9173):
+            assert holder_probe(h, spec, trials=12, seed=seed) == full_order_holder(
+                h, spec, 12, seed
+            )
+
+    def test_relative_rung_never_knows_past_the_order(self):
+        # the root's lead t^(17/2) plus rel 8 lies past the order 16, so the
+        # rung must stop at the order, where the full order stops
+        h = parse_map("(x^17 + x^(35/2))^(1/2)", ("x",))
+        image, = eval_map_series(h, (t,), order=ORDER, rel=ORDER / 2)
+        assert image.trunc == ORDER
+        assert image == eval_map_series(h, (t,), order=ORDER)[0]
+
+    def test_relative_rung_expands_from_the_lead(self):
+        # 1/(x^2 + x^3) at t has lead t^-2: rel 2 knows it below t^0
+        h = parse_map("x/(x^2 + x^3)", ("x",))
+        image, = eval_map_series(h, (t,), order=ORDER, rel=F(2))
+        assert image.trunc == 1
+        assert image == eval_map_series(h, (t,), order=ORDER)[0].truncate(1)
 
     def test_retries_past_an_unknown_lead(self):
         h, _spec = CHEAP_MAPS["unknown-lead"]
