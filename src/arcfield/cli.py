@@ -55,7 +55,7 @@ DEFAULTS = {
     "t_order": "8", "trials": 100, "seed": 0, "mode": "exact", "tolerance": 1e-9,
     "map_text": None, "phi1": None, "phi2": None, "box": "-1,1", "epsilon": 0.1,
     "grid_step": 0.01, "transfer_kind": "injective", "min_ord": "", "unit_lead": False,
-    "target": None,
+    "target": None, "vars": "x,y",
 }
 READS = {
     "counterexample": {"t_order", "grid_step"},
@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
     pr = sub.add_parser("probe", parents=[common], help="sampled probes")
     pr.add_argument("kind", choices=("holder", "loja", "unif", "transport"))
     pr.add_argument("--map", dest="map_text", help="map expression (or @file)")
-    pr.add_argument("--vars", default="x,y", help="comma-separated input variables")
+    pr.add_argument("--vars", default=DEFAULTS["vars"], help="comma-separated input variables")
     pr.add_argument("--phi1", help="loja: lower function")
     pr.add_argument("--phi2", help="loja: upper function")
     pr.add_argument("--box", default=DEFAULTS["box"], help="box as lo,hi[;lo,hi...]")
@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("eval", parents=[common], help="apply a map to an arc")
     ev.add_argument("map_text", metavar="map", help="map expression (or @file)")
     ev.add_argument("--arc", required=True, help="semicolon-separated series components")
-    ev.add_argument("--vars", default="x,y")
+    ev.add_argument("--vars", default=DEFAULTS["vars"])
     return top
 
 
@@ -205,8 +205,12 @@ def _reject_unread_flags(args, cfg: RunConfig) -> None:
             run += f" {args.transfer_kind}"
     # compare --t-order by value, so that 16/2 is the default 8
     given = dict(vars(args), t_order=render_rat(cfg.t_order))
+    reads = READS[run]
+    if given.get("map_text") or given.get("phi1"):
+        # --vars names the variables of every map a run parses
+        reads = reads | {"vars"}
     for dest, default in DEFAULTS.items():
-        if dest in given and dest not in READS[run] and given[dest] != default:
+        if dest in given and dest not in reads and given[dest] != default:
             flag = "--map" if dest == "map_text" else "--" + dest.replace("_", "-")
             raise ConfigError(f"{run} does not read {flag}")
 

@@ -1,4 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the formatter of the
+numbers in their messages."""
+
+
+def message_number(x) -> str:
+    """``x`` as text for an error message, which composing never raises.
+
+    Past the interpreter's limit on the digits of an integer converted to
+    text, the count of the digits stands in for them.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        digits = sum(_digit_count(n) for n in (x.numerator, x.denominator) if n != 1)
+        return f"<a number of {digits} digits>"
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of a nonzero integer, without converting it to text."""
+    n = abs(n)
+    k = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # never too many
+    while 10**k <= n:
+        k += 1
+    return k
 
 
 class ArcFieldError(Exception):
@@ -10,7 +33,7 @@ class ZeroUpToTruncationError(ArcFieldError):
 
     def __init__(self, trunc=None, message=None):
         self.trunc = trunc
-        super().__init__(message or f"series is zero up to truncation {trunc}")
+        super().__init__(message or f"series is zero up to truncation {message_number(trunc)}")
 
 
 class IndistinguishableAtTruncation(ArcFieldError):
@@ -19,6 +42,9 @@ class IndistinguishableAtTruncation(ArcFieldError):
 
 class RamificationOverflow(ArcFieldError):
     """An operation would require a ramification index above the configured cap."""
+
+    def __init__(self, ram, cap):
+        super().__init__(f"ramification {message_number(ram)} exceeds cap {message_number(cap)}")
 
 
 class NegativeBaseForEvenRoot(ArcFieldError):
@@ -34,7 +60,8 @@ class NonPositiveValuationSubstitution(ArcFieldError):
 
 
 class UnboundedExpansion(ArcFieldError):
-    """The result is an infinite series and no target truncation was supplied."""
+    """The result is an infinite series and no target truncation was supplied,
+    or the target needs more terms than memory holds."""
 
 
 class TruncationExhausted(ArcFieldError):
@@ -43,10 +70,6 @@ class TruncationExhausted(ArcFieldError):
 
 class IrrationalBranch(ArcFieldError):
     """Exact mode found no rational root for a Newton polygon edge equation."""
-
-
-class NotPositive(ArcFieldError):
-    """A square root was requested of a series that is not positive near 0+."""
 
 
 class FloatOverflow(ArcFieldError):

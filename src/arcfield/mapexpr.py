@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import GuardViolation, IrrationalLeadingRoot
+from .errors import FloatOverflow, GuardViolation, IrrationalLeadingRoot
 from .qarith import float_pow, render_rat
 
 
@@ -202,9 +202,13 @@ def eval_float(expr: Expr, point) -> float:
 
 
 def eval_map_float(m: MapExpr, point) -> tuple:
+    """Evaluate at a float point; a value past the float range raises FloatOverflow."""
     if len(point) != m.arity:
         raise ValueError("point dimension does not match map arity")
-    return tuple(eval_float(e, point) for e in m.exprs)
+    try:
+        return tuple(eval_float(e, point) for e in m.exprs)
+    except OverflowError:
+        raise FloatOverflow("a map value lies outside the float range") from None
 
 
 # -- series evaluation --------------------------------------------------------

@@ -51,6 +51,7 @@ from .errors import (
     IrrationalBranch,
     NoRealBranch,
     TruncationExhausted,
+    message_number,
 )
 from .puiseux import PuiseuxSeries, _min_bound, _render_exp
 from .qarith import Exp, lcm, rational_nth_root
@@ -83,16 +84,6 @@ class PolyOverSeries:
             if order is not None:
                 acc = acc.truncate(order)
         return acc
-
-
-def poly_from_roots(roots, extra=()) -> PolyOverSeries:
-    """Expand prod (X - r) times optional extra factors given as coeff lists."""
-    coeffs = [PuiseuxSeries.one()]
-    for r in roots:
-        coeffs = _poly_mul_series(coeffs, [-r, PuiseuxSeries.one()])
-    for factor in extra:
-        coeffs = _poly_mul_series(coeffs, list(factor))
-    return PolyOverSeries(tuple(coeffs))
 
 
 def _poly_mul_series(a, b):
@@ -178,7 +169,9 @@ def _certify(P, series, mult, target) -> RootBranch:
     if certified < target:
         if not residual.terms:
             # nothing wrong is known, the inputs just end before the target
-            raise TruncationExhausted(f"residual is known only below order {certified}")
+            raise TruncationExhausted(
+                f"residual is known only below order {message_number(certified)}"
+            )
         raise BranchNotCertified(
             f"branch residual has a term at t^{_render_exp(residual.terms[0][0])}, "
             f"below the target {target}"

@@ -15,14 +15,13 @@ lowest such t-exponent is recorded as a ``DivergenceWitness``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot
-from .puiseux import PuiseuxSeries, _lattice_base, _render_exp
-from .qarith import Exp, Rat, lcm, message_number, rational_pow, render_rat
+from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot, message_number
+from .puiseux import PuiseuxSeries, _binomial_lattice, _render_exp
+from .qarith import Exp, Rat, lcm, rational_pow, render_rat
 
 
 class LaurentEps:
@@ -74,6 +73,14 @@ class LaurentEps:
         if len(self.terms) != 1:
             raise ValueError("not a parameter monomial")
         return self.terms[0]
+
+    def as_integer_ratio(self):
+        """The integer row ((k, a), ...) and the denominator d with
+        self = row / d, d the lcm of the coefficients' denominators."""
+        d = 1
+        for _k, a in self.terms:
+            d = lcm(d, a.denominator)
+        return tuple((k, a.numerator * (d // a.denominator)) for k, a in self.terms), d
 
     def has_negative_power(self) -> bool:
         return bool(self.terms) and self.terms[0][0] < 0
@@ -241,49 +248,20 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel, lead=None, shift=None) -> 
     """``lead * t^shift * (1 + u)^e`` over the parametric ring, truncated at
     the relative order ``rel``; ``lead`` is a parameter monomial.
 
-    This is ``puiseux._lattice_sum`` with Laurent rows in place of rational
-    coefficients.  Write s = t^(1/ram), u = sum A_j(e)/d_j s^j with A_j
-    integer Laurent polynomials and d_j the lcm of row j's denominators, and
-    e = p/q, and pick M with d_j | M^j for every j.  Then every coefficient
-    of H[n] = h[n] (q^2 M)^n is an integer, and the recurrence from
-    (1 + u) h' = e u' h becomes
-
-        n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
-        w_j = q^(2j - 1) (M^j / d_j) A_j,
-
-    a product of integer Laurent rows with an exact division by n.  Each
-    output coefficient is one Fraction, lead H[n][k] / (q^2 M)^n, written
-    at parameter power k plus the lead's.  When only multiples of g carry
-    terms the recurrence runs in s^g.
+    This is ``puiseux._binomial_sum``'s recurrence on the same lattice, with
+    integer Laurent rows in place of integer coefficients: each H[n] is a
+    row, and each w_j is the integer row A_j of u's coefficient scaled by
+    f_j.  Each output coefficient is one Fraction, lead H[n][k] / (q^2 M)^n,
+    written at parameter power k plus the lead's.
     """
-    ram = u.ram
-    n_max = math.ceil(rel * ram) - 1
+    if lead is None:
+        lead, shift = LaurentEps.constant(1), Fraction(0)
+    weights, scale, exps, out_ram, h = _binomial_lattice(u, e, rel, shift)
+    w = [(j, [(k, a * f) for k, a in row]) for j, row, f in weights]
     p, q = e.numerator, e.denominator
-    support = []
-    g = 0
-    for x, c in u.terms:
-        j = x.numerator * (ram // x.denominator)
-        if j > n_max:
-            break
-        if j > 0:
-            d = 1
-            for _k, a in c.terms:
-                d = lcm(d, a.denominator)
-            row = [(k, a.numerator * (d // a.denominator)) for k, a in c.terms]
-            support.append((j, row, d))
-            g = math.gcd(g, j)
-    # only multiples of g carry terms, so the recurrence runs in s^g
-    g = g or 1
-    n_max //= g
-    support = [(j // g, row, d) for j, row, d in support]
-    m = _lattice_base((j, d) for j, _row, d in support)
-    w = []
-    for j, row, d in support:
-        f = q ** (2 * j - 1) * (m**j // d)
-        w.append((j, [(k, a * f) for k, a in row]))
-    h = [{0: 1}] + [None] * n_max
+    h[0] = {0: 1}
     pq = p + q
-    for n in range(1, n_max + 1):
+    for n in range(1, len(h)):
         acc = {}
         qn = q * n
         for j, wj in w:
@@ -298,19 +276,14 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel, lead=None, shift=None) -> 
                         k = k1 + k2
                         acc[k] = acc.get(k, 0) + a * fb
         h[n] = {k: c // n for k, c in acc.items() if c}
-    lead_k, lead_c = (0, Fraction(1)) if lead is None else lead.terms[0]
-    if shift is None:
-        shift = Fraction(0)
-    out_ram = lcm(ram, shift.denominator)
-    step = g * (out_ram // ram)
-    base = shift.numerator * (out_ram // shift.denominator)
-    num, den, scale = lead_c.numerator, lead_c.denominator, q * q * m
+    lead_k, lead_c = lead.terms[0]
+    num, den = lead_c.numerator, lead_c.denominator
     terms = []
-    for n in range(n_max + 1):
+    for n, i in enumerate(exps):
         row = h[n]
         if row:
             coeff = tuple((k + lead_k, Fraction(num * row[k], den)) for k in sorted(row))
-            terms.append((Fraction(n * step + base, out_ram), LaurentEps._canonical(coeff)))
+            terms.append((Fraction(i, out_ram), LaurentEps._canonical(coeff)))
         den *= scale
     return ParamSeries._canonical(tuple(terms), rel + shift, out_ram)
 

@@ -28,21 +28,23 @@ truncated or non-monomial series is n - 1 products, whose bound is the
 binomial one, T + (n - 1) ord f.  A monomial is the exception: the general
 constructor reduces its ``ram`` to the denominator of the one exponent
 ((5t^(11/4))^2 has ram 2), where a product would keep the operand's 4.  Every
-other power is a binomial expansion, which the ring's class names.  Exact
-coefficients run the recurrence on integers: with e = p/q and
-u = sum a_j/d_j t^(j/ram), H[n] = h[n] (q^2 M)^n is an integer whenever
-d_j | M^j, so each lattice step is integer arithmetic and each output
-coefficient costs one Fraction; ``param_series`` does the same on Laurent
-rows.
+other power is a binomial expansion, which the ring's class names.  It runs
+on integers in every ring: with e = p/q and u = sum a_j/d_j t^(j/ram),
+H[n] = h[n] (q^2 M)^n is an integer whenever d_j | M^j, so each lattice step
+is integer arithmetic, and ``param_series`` runs the same steps on Laurent
+rows.  A float is an exact binary rational, so float coefficients take the
+exact path too, and each output coefficient is rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (
+    FloatOverflow,
     IndistinguishableAtTruncation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
@@ -51,8 +53,9 @@ from .errors import (
     TruncationExhausted,
     UnboundedExpansion,
     ZeroUpToTruncationError,
+    message_number,
 )
-from .qarith import Exp, Rat, float_pow, lcm, message_number, rational_pow, render_rat
+from .qarith import Exp, Rat, float_pow, lcm, rational_pow, render_rat
 
 DEFAULT_RAM_CAP = 64
 _ram_cap = DEFAULT_RAM_CAP
@@ -159,7 +162,7 @@ class PuiseuxSeries:
                 r = lcm(r, e.denominator)
             pairs.append((e, c))
         if r > _ram_cap:
-            raise RamificationOverflow(f"ramification {r} exceeds cap {_ram_cap}")
+            raise RamificationOverflow(r, _ram_cap)
         # accumulate on the integer lattice: int keys hash far cheaper than
         # Fraction keys, and the truncation test becomes one int compare
         if trunc is None:
@@ -186,7 +189,7 @@ class PuiseuxSeries:
         """Wrap terms that are already canonical: sorted, nonzero, on the
         (1/ram)Z lattice and below ``trunc`` (a Fraction or None)."""
         if ram > _ram_cap:
-            raise RamificationOverflow(f"ramification {ram} exceeds cap {_ram_cap}")
+            raise RamificationOverflow(ram, _ram_cap)
         out = cls.__new__(cls)
         object.__setattr__(out, "terms", terms)
         object.__setattr__(out, "trunc", trunc)
@@ -245,7 +248,7 @@ class PuiseuxSeries:
         """Known coefficient at exponent e; raises if e is beyond the bound."""
         e = Fraction(e)
         if not _below(e, self.trunc):
-            raise ZeroUpToTruncationError(self.trunc, f"coefficient at {e} unknown")
+            raise ZeroUpToTruncationError(self.trunc, f"coefficient at {message_number(e)} unknown")
         for exp, c in self.terms:
             if exp == e:
                 return c
@@ -311,7 +314,7 @@ class PuiseuxSeries:
         trunc = _min_bound(b1, b2)
         ram = lcm(self.ram, other.ram)
         if ram > _ram_cap:
-            raise RamificationOverflow(f"ramification {ram} exceeds cap {_ram_cap}")
+            raise RamificationOverflow(ram, _ram_cap)
         fa = ram // self.ram
         fb = ram // other.ram
         a = [(e.numerator * (self.ram // e.denominator) * fa, c) for e, c in self.terms]
@@ -400,7 +403,7 @@ class PuiseuxSeries:
         if e == 0:
             return self.one()
         if self.ram > _ram_cap:
-            raise RamificationOverflow(f"ramification {self.ram} exceeds cap {_ram_cap}")
+            raise RamificationOverflow(self.ram, _ram_cap)
         monomial = len(self.terms) == 1 and self.trunc is None
         if e.denominator == 1 and e > 0 and not monomial:
             out = self
@@ -455,7 +458,7 @@ class PuiseuxSeries:
             raise ZeroUpToTruncationError(inner.trunc, "inner series order unknown")
         if w <= 0:
             raise NonPositiveValuationSubstitution(
-                f"substitution needs positive order, got {w}"
+                f"substitution needs positive order, got {message_number(w)}"
             )
         tail = None if self.trunc is None else w * self.trunc
         cap = _min_bound(tail, None if order is None else Fraction(order))
@@ -474,7 +477,7 @@ class PuiseuxSeries:
         if diff.is_zero():
             return 0
         raise IndistinguishableAtTruncation(
-            f"difference is zero up to truncation {diff.trunc}"
+            f"difference is zero up to truncation {message_number(diff.trunc)}"
         )
 
     def __lt__(self, other):
@@ -525,7 +528,10 @@ def _coeff_pow(c, e: Fraction):
     if isinstance(c, float):
         if c < 0 and e.denominator % 2 == 0:
             raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
-        return float_pow(c, e)
+        try:
+            return float_pow(c, e)
+        except OverflowError:
+            raise FloatOverflow(f"({message_number(c)})^{e} lies outside the float range") from None
     return c.pow_rational(e)
 
 
@@ -535,87 +541,35 @@ def _binomial_sum(
     """``lead * t^shift * (1 + u)^e``, truncated at the relative order ``rel``.
 
     ``lead`` and ``shift`` default to 1 and 0.  It runs the first-order
-    recurrence obtained from (1 + u) h' = e u' h on the dense ramification
-    lattice, which is quadratic in the number of kept lattice points.  Exact
-    coefficients run it on integers (``_lattice_sum``); floats run it on the
-    coefficients themselves.
-    """
-    floats = isinstance(lead, float) or (u.terms and isinstance(u.terms[0][1], float))
-    if not floats:
-        return _lattice_sum(u, e, rel, lead, shift)
-    body = _coefficient_sum(u, e, rel)
-    return body if lead is None else body.scale(lead).shift(shift)
-
-
-def _coefficient_sum(u: PuiseuxSeries, e: Fraction, rel: Exp) -> PuiseuxSeries:
-    """``_binomial_sum`` with arithmetic on the coefficients of ``u``, which
-    the float ring needs."""
-    ring = type(u)
-    ram = u.ram
-    n_max = math.ceil(rel * ram) - 1
-    if n_max < 0:
-        # keep u's ramification, so a working order that leaves no lattice
-        # point does not shrink ``ram`` below what a larger order yields
-        return ring((), trunc=rel, ram=ram)
-    ua = {}
-    for exp, c in u.terms:
-        idx = int(exp * ram)
-        if 0 < idx <= n_max:
-            ua[idx] = c
-    support = sorted(ua)
-    h = [0] * (n_max + 1)
-    h[0] = Fraction(1)
-    e1 = e + 1
-    for n in range(1, n_max + 1):
-        acc = 0
-        for j in support:
-            if j > n:
-                break
-            prev = h[n - j]
-            if prev:
-                acc += (e1 * j - n) * ua[j] * prev
-        h[n] = acc / n if acc else 0
-    terms = tuple((Fraction(n, ram), h[n]) for n in range(n_max + 1) if h[n])
-    return ring._canonical(terms, rel, ram)
-
-
-def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> PuiseuxSeries:
-    """The truncated ``_binomial_sum`` of an exact ``u`` on integers.
-
-    Write s = t^(1/ram), u = sum a_j/d_j s^j and e = p/q, and pick M with
-    d_j | M^j for every j.  Then H[n] = h[n] (q^2 M)^n is an integer:
-    h[n] = sum_k C(e, k) [s^n] u^k, where q^(2k) C(e, k) is an integer and
-    M^n [s^n] u^k is one.  The recurrence becomes
+    recurrence obtained from (1 + u) h' = e u' h on the integer lattice of
+    ``_binomial_lattice``, which is quadratic in the number of kept lattice
+    points.  With e = p/q it reads
 
         n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
-        w_j = a_j q^(2j - 1) M^j / d_j,
 
-    with an exact division by n, and each output coefficient is one
-    Fraction, lead H[n] / (q^2 M)^n.  M is built greedily from the d_j, so
-    d_j = d^j gives M = d, and when only multiples of g carry terms the
-    recurrence runs in s^g.
+    with an exact division by n.  A float is an exact binary rational, so
+    float coefficients run the same recurrence on their exact values.  Each
+    output coefficient, lead H[n] / (q^2 M)^n, is built once: a Fraction,
+    or for a float lead the correctly rounded quotient, which is dropped
+    when it underflows to 0.0.  A float beyond range, or a coefficient that
+    is not finite, raises FloatOverflow.
     """
-    ram = u.ram
-    n_max = math.ceil(rel * ram) - 1
+    # an exact lead such as the 1 of (1 + x)^(1/2) can head a float u
+    floats = isinstance(lead, float) or (u.terms and isinstance(u.terms[0][1], float))
+    quotient = operator.truediv if floats else Fraction
+    if lead is None:
+        lead, shift = 1, Fraction(0)
+    try:
+        weights, scale, exps, out_ram, h = _binomial_lattice(u, e, rel, shift)
+        num, den = lead.as_integer_ratio()
+    except (OverflowError, ValueError):
+        # only an infinite or NaN float refuses to be an integer ratio
+        raise FloatOverflow("a coefficient of a binomial expansion is not finite") from None
+    w = [(j, a * f) for j, a, f in weights]
     p, q = e.numerator, e.denominator
-    support = []
-    g = 0
-    for x, c in u.terms:
-        j = x.numerator * (ram // x.denominator)
-        if j > n_max:
-            break
-        if j > 0:
-            support.append((j, c.numerator, c.denominator))
-            g = math.gcd(g, j)
-    # only multiples of g carry terms, so the recurrence runs in s^g
-    g = g or 1
-    n_max //= g
-    support = [(j // g, a, d) for j, a, d in support]
-    m = _lattice_base((j, d) for j, _a, d in support)
-    w = [(j, a * q ** (2 * j - 1) * (m**j // d)) for j, a, d in support]
-    h = [1] + [0] * n_max
+    h[0] = 1
     pq = p + q
-    for n in range(1, n_max + 1):
+    for n in range(1, len(h)):
         acc = 0
         qn = q * n
         for j, wj in w:
@@ -625,30 +579,69 @@ def _lattice_sum(u: PuiseuxSeries, e: Fraction, rel: Exp, lead, shift) -> Puiseu
             if prev:
                 acc += (pq * j - qn) * wj * prev
         h[n] = acc // n
-    if lead is None:
-        lead, shift = Fraction(1), Fraction(0)
-    out_ram = lcm(ram, shift.denominator)
-    step = g * (out_ram // ram)
-    base = shift.numerator * (out_ram // shift.denominator)
-    num, den, scale = lead.numerator, lead.denominator, q * q * m
     terms = []
-    for n in range(n_max + 1):
-        if h[n]:
-            terms.append((Fraction(n * step + base, out_ram), Fraction(num * h[n], den)))
-        den *= scale
+    try:
+        for n, i in enumerate(exps):
+            # int / int is correctly rounded, and 0.0 when it underflows
+            if h[n] and (c := quotient(num * h[n], den)):
+                terms.append((Fraction(i, out_ram), c))
+            den *= scale
+    except OverflowError:
+        raise FloatOverflow("a binomial coefficient lies outside the float range") from None
     return PuiseuxSeries._canonical(tuple(terms), rel + shift, out_ram)
 
 
-def _lattice_base(powers) -> int:
-    """An M with d | M^j for every (j, d) in ``powers``, built greedily in
-    increasing j, so that d_j = d^j gives M = d."""
+def _binomial_lattice(u: PuiseuxSeries, e: Fraction, rel: Exp, shift: Exp):
+    """The integer lattice of ``t^shift * (1 + u)^e`` below the relative order
+    ``rel``, in every coefficient ring.
+
+    Write s = t^(1/ram), e = p/q and u = sum a_j/d_j s^j, where each
+    coefficient's ``as_integer_ratio`` gives its integer numerator a_j (an
+    integer row in the Laurent ring) and its denominator d_j, and pick M with
+    d_j | M^j for every j.  Then H[n] = h[n] (q^2 M)^n is integral, for
+    h[n] = sum_k C(e, k) [s^n] u^k: q^(2k) C(e, k) is an integer and so is
+    M^n [s^n] u^k.  The weights of the recurrence are w_j = f_j a_j, with
+    f_j = q^(2j - 1) M^j / d_j.  M is built greedily in increasing j, so
+    d_j = d^j gives M = d, and when only multiples of g carry terms the
+    recurrence runs in s^g.
+
+    Returns the triples (j, a_j, f_j), the scale q^2 M, the exponents of
+    n = 0, 1, ... as numerators over the returned ramification, and a table
+    of zeros for H, with room for H[0].  A table too large to allocate
+    raises UnboundedExpansion.
+    """
+    ram = u.ram
+    n_max = math.ceil(rel * ram) - 1
+    support = []
+    g = 0
+    for x, c in u.terms:
+        j = x.numerator * (ram // x.denominator)
+        if j > n_max:
+            break
+        if j > 0:
+            support.append((j, *c.as_integer_ratio()))
+            g = math.gcd(g, j)
+    g = g or 1
+    support = [(j // g, a, d) for j, a, d in support]
+    q = e.denominator
     m = 1
-    for j, d in powers:
+    for j, _a, d in support:
         mj = m**j
         if mj % d:
             # afterwards d | m^j, and every earlier d_i | m^i still holds
             m *= d // math.gcd(mj, d)
-    return m
+    weights = [(j, a, q ** (2 * j - 1) * (m**j // d)) for j, a, d in support]
+    out_ram = lcm(ram, shift.denominator)
+    step = g * (out_ram // ram)
+    base = shift.numerator * (out_ram // shift.denominator)
+    exps = range(base, base + step * (n_max // g + 1), step)
+    try:
+        h = [0] * (len(exps) or 1)
+    except (OverflowError, MemoryError):
+        raise UnboundedExpansion(
+            f"an expansion to relative order {message_number(rel)} has too many terms to hold"
+        ) from None
+    return weights, q * q * m, exps, out_ram, h
 
 
 def formal_derivative(f: PuiseuxSeries) -> PuiseuxSeries:
@@ -671,11 +664,12 @@ def reparam_inverse(f: PuiseuxSeries, target) -> PuiseuxSeries:
         raise ZeroUpToTruncationError(f.trunc)
     r, c = f.terms[0]
     if r <= 0:
-        raise NonPositiveValuationSubstitution(f"order {r} is not positive")
+        raise NonPositiveValuationSubstitution(f"order {message_number(r)} is not positive")
     if f.trunc is not None and f.trunc < r * (target + 1):
         # composing with d (order 1/r) caps residual knowledge at trunc/r
         raise TruncationExhausted(
-            f"inverting to order {target} needs f known below {r * (target + 1)}"
+            f"inverting to order {message_number(target)} needs f known below "
+            f"{message_number(r * (target + 1))}"
         )
     # d must be kept beyond `target` when ord f < 1, because composing then
     # amplifies the truncation error by t^((r-1)/r) with negative exponent

@@ -34,28 +34,6 @@ def render_rat(a: Rat) -> str:
         raise DigitLimitExceeded(f"a number has more than {limit} digits to print") from None
 
 
-def message_number(x) -> str:
-    """``x`` as text for an error message, which composing never raises.
-
-    Past the interpreter's limit on the digits of an integer converted to
-    text, the count of the digits stands in for them.
-    """
-    try:
-        return str(x)
-    except ValueError:
-        digits = sum(_digit_count(n) for n in (x.numerator, x.denominator) if n != 1)
-        return f"<a number of {digits} digits>"
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of a nonzero integer, without converting it to text."""
-    n = abs(n)
-    k = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # never too many
-    while 10**k <= n:
-        k += 1
-    return k
-
-
 def lcm(a: int, b: int) -> int:
     return abs(a * b) // math.gcd(a, b) if a and b else 0
 
@@ -74,18 +52,12 @@ def int_nth_root(n: int, k: int):
         for cand in (r - 1, r, r + 1):
             if cand >= 0 and cand**k == n:
                 return cand
-    # float guess can be off for big integers; fall back to integer bisection
-    lo, hi = 0, 1 << (n.bit_length() // k + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**k
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # float guess can be off for big integers; fall back to integer Newton
+    # iteration, which falls from above the root to floor(n^(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x**k == n else None
 
 
 def rational_nth_root(c: Rat, k: int):

@@ -78,7 +78,7 @@ def tadic_ord_dist(gamma: Sequence, delta: Sequence):
     for x, y in zip(gamma, delta):
         ram = lcm(x.ram, y.ram)
         if ram > cap:
-            raise RamificationOverflow(f"ramification {ram} exceeds cap {cap}")
+            raise RamificationOverflow(ram, cap)
         bound = _min_bound(x.trunc, y.trunc)
         lead = _first_difference(x.terms, y.terms, bound)
         if lead is not None:

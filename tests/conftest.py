@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from arcfield.newton import PolyOverSeries, _poly_mul_series
 from arcfield.puiseux import PuiseuxSeries
 
 
@@ -83,6 +84,19 @@ def lagrange_inverse(a, order):
 
 def series_from_ints(pairs, trunc=None):
     return PuiseuxSeries(tuple((Fraction(e), Fraction(c)) for e, c in pairs), trunc=trunc)
+
+
+# -- polynomials with known roots ---------------------------------------------------
+
+
+def poly_from_roots(roots, extra=()) -> PolyOverSeries:
+    """Expand prod (X - r) times optional extra factors given as coeff lists."""
+    coeffs = [PuiseuxSeries.one()]
+    for r in roots:
+        coeffs = _poly_mul_series(coeffs, [-r, PuiseuxSeries.one()])
+    for factor in extra:
+        coeffs = _poly_mul_series(coeffs, list(factor))
+    return PolyOverSeries(tuple(coeffs))
 
 
 # -- random series generation ------------------------------------------------------

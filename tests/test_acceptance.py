@@ -17,12 +17,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_series, random_series
+from conftest import binomial_series, poly_from_roots, random_series
 
 from arcfield.cli import main
 from arcfield.errors import CounterexampleFound, ParseError
 from arcfield.mapexpr import MapExpr, Pow, eval_map_series, map_expr, render_map, variables
-from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots, rc_witness_odd
+from arcfield.newton import PolyOverSeries, np_roots, rc_witness_odd
 from arcfield.param_series import LaurentEps, ParamSeries
 from arcfield.parser import parse_map, parse_series
 from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, render_series, reparam_inverse

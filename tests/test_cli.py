@@ -3,6 +3,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arcfield.cli import main
 from arcfield.puiseux import get_ram_cap
@@ -302,6 +303,25 @@ def test_error_message_names_the_digit_count_past_the_limit():
     assert err == "error: (<a number of 9001 digits>)^1/2 is irrational\n"
 
 
+# a 4001-digit exponent parses, and a number derived from it can have 8001 digits
+BIG = "1" + "0" * 4000
+# a float near the top of the float range
+NEAR_MAX = "1" + "0" * 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", f"1/((x^{BIG})^{BIG})", "--vars", "x", "--arc", "O(t^1)"],
+                 "series is zero up to truncation <a number of 8001 digits>", id="bound"),
+    pytest.param(["eval", f"(x^(1/{BIG}))^(1/{BIG})", "--vars", "x", "--arc", "t",
+                  "--ram-cap", BIG],
+                 f"ramification <a number of 8001 digits> exceeds cap {BIG}", id="ram"),
+])
+def test_derived_number_past_the_limit_is_one_error_line(argv, message):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, span", [
     pytest.param(["roots", "-t; 1 + ; 1"], "bytes 7..7", id="roots-dangling-plus"),
     pytest.param(["roots", "-t; 1" + "0" * 5000 + "; 1"], "bytes 4..5005", id="roots-long-literal"),
@@ -443,6 +463,8 @@ ROOTS = ["roots", "X^2 - 2*t"]
                   "--unit-lead"], "--unit-lead", id="limit-additive-unit-lead"),
     pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
                   "--target", "6"], "--target", id="limit-additive-target"),
+    pytest.param(["probe", "transport", "--transfer-kind", "limit_additive",
+                  "--vars", "a,b,c", "--trials", "3"], "--vars", id="limit-additive-vars"),
 ])
 def test_unread_flag_with_a_value_is_refused(argv, flag):
     code, out, err = run(argv)
@@ -486,3 +508,100 @@ def test_loja_reads_tolerance():
     code, out, err = run(LOJA + ["--box=-1,1", "--tolerance", "0.5", "--emit", "structured"])
     assert code in (0, 2) and not err
     assert json.loads(out)["config"]["tolerance"] == 0.5
+
+
+# -- argv fuzz -----------------------------------------------------------------------
+#
+# Fragments of every subcommand's argv, drawn with small t-orders, targets, trial
+# counts and grids so that each call is quick: nothing bounds the work of a
+# large order yet.  Numbers past the digit limit enter as literals, as orders
+# with such a denominator, and as exponents that the kernel multiplies out.  A
+# big integer exponent drives a chain of products on a non-monomial base and a
+# huge power of a coefficient other than +-1, so big exponents are drawn over
+# arcs whose components are unit monomials or known only up to a bound.
+
+SERIES = ["t", "-t", "2*t", "t^(1/2)", "t + t^2", "t - t^(3/2) + O(t^3)", "O(t^1)", "0",
+          "1 + t", "-1/3*t^(5/2)", "3*t^2 - t^3", f"{BIG}*t", f"t + {BIG}*t^2", f"{NEAR_MAX}*t",
+          f"t + O(t^{BIG})", f"t^{BIG}", f"t^(1/{BIG})"]
+UNIT_SERIES = ["t", "-t", "t^(1/2)", "-t^(5/3)", "O(t^1)", "O(t^(1/2))", "0", f"O(t^{BIG})"]
+ATOMS = ["x", "y", "1", "2", "1/3", BIG, f"1/{BIG}", NEAR_MAX, f"1/{NEAR_MAX}"]
+POWERS = ["2", "3", "(1/2)", "(1/3)", "(-1)", "(-1/2)", "(2/3)"]
+BIG_POWER_MAPS = [f"x^{BIG}", f"(x^{BIG})^{BIG}", f"1/((x^{BIG})^{BIG})", f"x^(1/{BIG})",
+                  f"(x^(1/{BIG}))^(1/{BIG})", f"(x^{BIG} + x)^(1/2)", f"x^({BIG}/3)",
+                  f"(x, y^{BIG})", f"x^(-{BIG})"]
+
+
+def _expr():
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*", "/"]), inner).map("".join),
+            st.tuples(inner, st.sampled_from(POWERS)).map(lambda p: f"({p[0]})^{p[1]}"),
+        )
+    return st.recursive(st.sampled_from(ATOMS), grow, max_leaves=4)
+
+
+def _map():
+    return st.one_of(_expr(), st.tuples(_expr(), _expr()).map(lambda p: f"({p[0]}, {p[1]})"))
+
+
+def _arc(series):
+    return st.lists(st.sampled_from(series), min_size=1, max_size=2).map("; ".join)
+
+
+FLAGS = [["--t-order", "3"], ["--t-order", "7/2"], ["--t-order", "0"], ["--t-order", "-1"],
+         ["--t-order", "x"], ["--t-order", f"1/{BIG}"], ["--trials", "0"], ["--trials", "2"],
+         ["--seed", "3"], ["--mode", "numeric"], ["--mode", "bogus"], ["--emit", "structured"],
+         ["--tolerance", "0.5"], ["--ram-cap", "1"], ["--ram-cap", "8"], ["--ram-cap", "0"],
+         ["--vars", "x"], ["--vars", "a,b,c"], ["--vars", ""], ["--vars", "y,x"],
+         ["--target", "4"], ["--target", f"1/{BIG}"], ["--unit-lead"], ["--min-ord", "1"],
+         ["--min-ord", "1,2"], ["--min-ord", f"1/{BIG}"], ["--box", "0,1"], ["--box", "-1,1;0,1"],
+         ["--box", "1e308,1e309"], ["--epsilon", "-1"], ["--grid-step", "0.5"],
+         ["--map", "x"], ["--phi1", "x"], ["--arc", "t"], ["--transfer-kind", "surjective"]]
+
+
+@st.composite
+def argvs(draw):
+    kind = draw(st.sampled_from(["eval", "eval-big", "roots", "holder", "transport",
+                                 "loja", "unif", "counterexample"]))
+    order = ["--t-order", draw(st.sampled_from(["1", "2", "3", "5/2"]))]
+    trials = ["--trials", draw(st.sampled_from(["1", "2", "3"]))]
+    if kind == "eval":
+        argv = ["eval", draw(_map()), "--arc", draw(_arc(SERIES))] + order
+    elif kind == "eval-big":
+        argv = ["eval", draw(st.sampled_from(BIG_POWER_MAPS)), "--arc",
+                draw(_arc(UNIT_SERIES))] + order
+    elif kind == "roots":
+        coeffs = draw(st.lists(st.sampled_from(SERIES), min_size=1, max_size=3))
+        argv = ["roots", "; ".join(coeffs + ["1"])] + order
+    elif kind == "holder":
+        argv = ["probe", "holder", "--map", draw(_map())] + trials
+    elif kind == "transport":
+        transfer = draw(st.sampled_from(["injective", "surjective", "limit_additive"]))
+        argv = ["probe", "transport", "--transfer-kind", transfer, "--map", draw(_map())] + trials
+        argv += draw(st.sampled_from([[], ["--target", "2"], ["--mode", "numeric"]]))
+    elif kind == "loja":
+        argv = ["probe", "loja", "--phi1", draw(_expr()), "--phi2", draw(_expr())] + trials
+    elif kind == "unif":
+        argv = ["probe", "unif", "--map", draw(_map()), "--grid-step", "0.25",
+                "--box", draw(st.sampled_from(["-1,1", "0,1;0,1"]))]
+    else:
+        argv = ["counterexample"] + ["--t-order", draw(st.sampled_from(["3", "4", "9/2"]))]
+    argv += ["--vars", draw(st.sampled_from(["x", "x,y", "a,b"]))] if draw(st.booleans()) else []
+    for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=2)):
+        argv += flag
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+@example(["eval", f"1/((x^{BIG})^{BIG})", "--vars", "x", "--arc", "O(t^1)"])
+@example(["probe", "transport", "--transfer-kind", "limit_additive", "--vars", "a,b,c",
+          "--trials", "3"])
+@example(["counterexample", "--t-order", BIG])
+@example(["probe", "loja", "--phi1", "x", "--phi2", BIG, "--vars", "x", "--trials", "3"])
+def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
+    cap = get_ram_cap()
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    assert get_ram_cap() == cap

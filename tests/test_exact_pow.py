@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcfield import puiseux
 from arcfield.errors import (
+    FloatOverflow,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
     RamificationOverflow,
@@ -23,7 +24,7 @@ from arcfield.errors import (
     ZeroUpToTruncationError,
 )
 from arcfield.puiseux import PuiseuxSeries
-from arcfield.qarith import rational_pow
+from arcfield.qarith import float_pow, lcm, rational_pow
 
 F = Fraction
 
@@ -185,8 +186,7 @@ def test_sparse_u_runs_on_the_coarse_lattice():
 
 @pytest.mark.parametrize("e", [F(2), F(-1), F(1, 2), F(-1, 4), F(5, 3)])
 def test_numeric_powers_agree_with_exact_ones(e):
-    # float coefficients keep the coefficient loop; the lead 2^12 has an
-    # exact e-th power, so the exact kernel is the oracle
+    # the lead 2^12 has an exact e-th power, so the exact kernel is the oracle
     exact = PuiseuxSeries([(F(1, 2), F(4096)), (F(5, 6), F(3, 5)), (F(3, 2), F(-7, 3))], trunc=F(4))
     numeric = PuiseuxSeries([(x, float(c)) for x, c in exact.terms], trunc=exact.trunc, ram=exact.ram)
     want = exact.pow_rational(e, order=6)
@@ -207,3 +207,95 @@ def test_numeric_integer_power_is_a_product_chain():
         for _ in range(n - 1):
             chain = chain * f
         assert f.pow_rational(n) == chain
+
+
+# -- float coefficients: the exact expansion of the floats' values, rounded once
+
+
+def float_oracle(f, e, order):
+    """lead * sum_k C(e, k) u^k on the exact values of the floats of f, by
+    kernel products on Fractions, each coefficient rounded once.  The lead of
+    f is a power of 2, so u = (f / lead t^v) - 1 holds exactly the floats'
+    values divided by it, and ``lead`` is the float power of the lead."""
+    v, c = f.terms[0]
+    head = e * v
+    rel = None if f.trunc is None else f.trunc - v
+    if order is not None:
+        rel = F(order) - head if rel is None else min(rel, F(order) - head)
+    lead = F(float_pow(c, e))
+    u = PuiseuxSeries(tuple((x - v, F(k) / F(c)) for x, k in f.terms[1:]),
+                      trunc=None if f.trunc is None else f.trunc - v, ram=f.ram)
+    total = PuiseuxSeries.one() + PuiseuxSeries.unknown(rel)
+    power, coeff = PuiseuxSeries.one(), F(1)
+    # ord u >= 1/ram, so u^k lies past rel from k = rel * ram on
+    for k in range(1, max(0, math.ceil(rel * f.ram)) + 1):
+        coeff = coeff * (e - (k - 1)) / k
+        power = (power * u).truncate(rel)
+        total = total + power.scale(coeff)
+    terms = tuple((x + head, q) for x, a in total.terms if (q := float(lead * a)))
+    return terms, rel + head, lcm(f.ram, head.denominator)
+
+
+@st.composite
+def float_power_cases(draw):
+    """(f, e, order) over floats: ram 1-24, truncated operands, e with
+    denominators up to 6, signed coefficients, and powers that cancel."""
+    ram = draw(st.integers(min_value=1, max_value=24))
+    e = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+        lambda x: x and not (x.denominator == 1 and x > 0)))
+    v = F(draw(st.integers(min_value=-2 * ram, max_value=3 * ram)), ram)
+    sign = 1 if e.denominator % 2 == 0 else draw(st.sampled_from((1, -1)))
+    c = F(sign * 2 ** draw(st.integers(min_value=-2, max_value=2)))
+    if draw(st.booleans()):
+        # (c t^v + a t^(v + j/ram))^q with a dyadic a: the e = p/q power is
+        # a polynomial, so every coefficient past it cancels exactly
+        a = F(draw(SMALL), 2 ** draw(st.integers(min_value=0, max_value=3)))
+        j = draw(st.integers(min_value=1, max_value=3))
+        exact = PuiseuxSeries([(v, c), (v + F(j, ram), a)]).pow_rational(e.denominator)
+    else:
+        offsets = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                                max_size=4, unique=True))
+        coeffs = st.floats(min_value=-9, max_value=9, allow_nan=False).filter(bool)
+        exact = PuiseuxSeries([(v, c)] + [(v + F(k, ram), F(draw(coeffs))) for k in offsets])
+    trunc = None
+    if draw(st.booleans()):
+        trunc = exact.terms[0][0] + F(draw(st.integers(min_value=1, max_value=12)), ram)
+    f = PuiseuxSeries([(x, float(q)) for x, q in exact.terms if trunc is None or x < trunc],
+                      trunc=trunc, ram=exact.ram)
+    head = e * f.terms[0][0]
+    order = draw(st.integers(min_value=-2, max_value=12).map(lambda k: head + F(k, f.ram)))
+    return f, e, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_power_cases())
+def test_float_power_is_the_exact_expansion_rounded_once(case):
+    f, e, order = case
+    cap = puiseux.get_ram_cap()
+    puiseux.set_ram_cap(1024)
+    try:
+        got = f.inv(order=order) if e == -1 else f.pow_rational(e, order=order)
+        want = float_oracle(f, e, order)
+    finally:
+        puiseux.set_ram_cap(cap)
+    assert all(isinstance(q, float) for _x, q in got.terms)
+    assert (got.terms, got.trunc, got.ram) == want
+
+
+def test_float_power_drops_a_coefficient_that_underflows():
+    f = PuiseuxSeries([(0, 1.0), (1, 1e-200)])
+    got = f.pow_rational(F(1, 2), order=4)
+    # t^2 and t^3 carry about -1e-400 and 1e-600, which round to 0.0
+    assert got.terms == ((F(0), 1.0), (F(1), 1e-200 / 2)) and got.trunc == 4
+
+
+@pytest.mark.parametrize("f, e", [
+    pytest.param(PuiseuxSeries([(0, 1.0), (1, 1e300)]), F(1, 2), id="quotient"),
+    pytest.param(PuiseuxSeries([(0, 1.0), (1, 1e300)]), F(-1), id="inverse"),
+    pytest.param(PuiseuxSeries([(0, 1.0), (1, math.inf)]), F(1, 2), id="inf"),
+    pytest.param(PuiseuxSeries([(0, 1.0), (1, math.nan)]), F(-1, 3), id="nan"),
+    pytest.param(PuiseuxSeries([(1, 1e300), (2, 1.0)]), F(3, 2), id="lead"),
+])
+def test_float_power_past_the_float_range_overflows(f, e):
+    with pytest.raises(FloatOverflow):
+        f.pow_rational(e, order=4)

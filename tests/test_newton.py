@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_series, series_from_ints
+from conftest import binomial_series, poly_from_roots, series_from_ints
 
-from arcfield.errors import IrrationalBranch, NotPositive, TruncationExhausted
+from arcfield.errors import IrrationalBranch, TruncationExhausted
 from arcfield.newton import (
     PolyOverSeries,
     np_roots,
-    poly_from_roots,
     rc_witness_odd,
 )
 from arcfield.puiseux import PuiseuxSeries
@@ -248,6 +247,10 @@ class TestOddWitness:
             residual = p.eval(b.series)
             lb = residual.ord_lower_bound()
             assert lb is None or lb >= 5
+
+
+class NotPositive(Exception):
+    """The oracle's refusal of a series that is not positive near 0+."""
 
 
 def sqrt_positive(f: PuiseuxSeries, target) -> PuiseuxSeries:

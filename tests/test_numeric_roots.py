@@ -16,11 +16,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import poly_from_roots
+
 from arcfield import newton
 from arcfield.cli import main
 from arcfield.errors import ArcFieldError, BranchNotCertified, IrrationalBranch, NoRealBranch
 from arcfield.mapexpr import eval_map_series
-from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots
+from arcfield.newton import PolyOverSeries, np_roots
 from arcfield.parser import parse_map, parse_poly
 from arcfield.puiseux import PuiseuxSeries
 from arcfield.transport import solve_preimage_arc

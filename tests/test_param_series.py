@@ -17,7 +17,7 @@ from arcfield.param_series import (
     render_param_series,
     select_m0n0,
 )
-from arcfield.puiseux import PuiseuxSeries, _coefficient_sum
+from arcfield.puiseux import PuiseuxSeries, _binomial_sum
 
 F = Fraction
 
@@ -275,7 +275,7 @@ class TestRamification:
     def test_binomial_keeps_ram_as_the_plain_kernel_does(self, rel):
         # u = t^(1/3): an order with no lattice point below it keeps ram 3
         u = eps_t(1, F(1, 3))
-        plain = _coefficient_sum(PuiseuxSeries.t_power(F(1, 3)), F(1, 2), rel)
+        plain = _binomial_sum(PuiseuxSeries.t_power(F(1, 3)), F(1, 2), rel)
         got = _param_binomial(u, F(1, 2), rel)
         assert got.ram == plain.ram == 3
         assert got.trunc == plain.trunc == rel

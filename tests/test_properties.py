@@ -4,8 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import poly_from_roots
+
 from arcfield.errors import IndistinguishableAtTruncation, TruncationExhausted
-from arcfield.newton import PolyOverSeries, np_roots, poly_from_roots
+from arcfield.newton import PolyOverSeries, np_roots
 from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation, _binomial_sum, reparam_inverse
 
 F = Fraction

@@ -52,6 +52,26 @@ def test_integer_roots():
     assert int_nth_root(big**2, 2) == big
 
 
+def bisection_root(n, k):
+    """floor(n^(1/k)) if it is the exact root, else None, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if mid**k == n:
+            return mid
+        lo, hi = (mid + 1, hi) if mid**k < n else (lo, mid - 1)
+    return None
+
+
+def test_integer_roots_past_the_float_range_match_bisection():
+    rng = random.Random(23)
+    for _ in range(100):
+        k = rng.randint(2, 9)
+        r = rng.getrandbits(rng.choice((40, 200, 600)))
+        for n in (r**k, r**k + 1, r**k - 1, (r + 1) ** k - 1):
+            assert int_nth_root(n, k) == bisection_root(n, k)
+
+
 def test_rational_roots():
     assert rational_nth_root(Fraction(4, 9), 2) == Fraction(2, 3)
     assert rational_nth_root(Fraction(-27, 8), 3) == Fraction(-3, 2)
