@@ -244,8 +244,8 @@ def _parse_box(text: str, arity: int):
             lo, hi = (float(x) for x in chunk.split(","))
         except ValueError:
             raise ConfigError(f"box chunk {chunk!r} is not lo,hi") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"box chunk {chunk!r} is not finite")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"box chunk {chunk!r} has no finite width")
         out.append((lo, hi))
     if len(out) != arity:
         raise ConfigError(f"box has {len(out)} dimensions, the map takes {arity}")
@@ -389,6 +389,8 @@ def run_probe(cfg: RunConfig, args) -> Report:
         arity = m.arity
     spec = _sampler_spec(arity, args)
     target = _fraction(args.target) if args.target else None
+    if target is not None and target <= 0:
+        raise ConfigError("probe transport needs --target greater than 0")
     try:
         rep = transfer_check(
             args.transfer_kind, m, spec, trials=cfg.trials, seed=cfg.seed,

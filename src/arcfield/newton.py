@@ -574,23 +574,15 @@ def _edge_roots(edge, mode):
         poly[k] += Fraction(a)
     floats = any(isinstance(a, float) for _, a in edge)
     if len(edge) == 2 and not floats:
-        return _binomial_roots(poly[0], poly[deg], deg, mode)
+        # a binomial a0 + a_deg z^deg: its real roots are the real deg-th roots
+        # of -a0/a_deg, and _rational_roots isolates them when they are irrational
+        rad = -poly[0] / poly[deg]
+        if deg % 2 == 0 and rad < 0:
+            return []
+        r = rational_nth_root(rad, deg)
+        if r is not None:
+            return [(r, 1)] if deg % 2 else [(-r, 1), (r, 1)]
     return _rational_roots(poly, mode, named=not floats)
-
-
-def _binomial_roots(a0, ak, k, mode):
-    """Real roots of a0 + ak z^k (a0, ak nonzero), all simple, by one exact root."""
-    rad = -a0 / ak
-    if k % 2 == 0 and rad < 0:
-        return []
-    r = rational_nth_root(rad, k)
-    if r is None:
-        if mode == "exact":
-            raise IrrationalBranch("edge equation has an irrational real root")
-        binomial = [-rad] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-        ints = _integer_form(binomial)
-        return [(_bisect_root(ints, *iv), 1) for iv in _isolate(binomial)]
-    return [(r, 1)] if k % 2 else [(-r, 1), (r, 1)]
 
 
 def _rational_roots(poly, mode, named=True):

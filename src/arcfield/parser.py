@@ -64,12 +64,16 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < self.end else ""
 
-    def error(self, expected: str, span_from: Optional[int] = None) -> ParseError:
-        self.skip_ws()
-        start = self.pos if span_from is None else span_from
-        end = min(self.end, max(start + 1, self.pos))
+    def error(self, expected: str, start=None, end=None, cls=ParseError) -> ParseError:
+        """``cls`` for the bytes start..end, by default the next character,
+        which it quotes as found; past the end, found is 'end of input'."""
+        if start is None:
+            self.skip_ws()
+            start = self.pos
+        if end is None:
+            end = min(self.end, start + 1)
         found = self.text[start:end] if start < self.end else "end of input"
-        return ParseError(start, end, expected, repr(found), self.text)
+        return cls(start, end, expected, repr(found), self.text)
 
     def take(self, literal: str) -> bool:
         self.skip_ws()
@@ -104,6 +108,15 @@ class _Scanner:
             found = f"{self.pos - digits} digits"
             raise ParseError(start, self.pos, expected, found, self.text) from None
 
+    def bounded_integer(self, low: int, expected: str, cls=ParseError) -> int:
+        """An integer of at least ``low``; a smaller one is refused at its bytes."""
+        self.skip_ws()
+        start = self.pos
+        n = self.integer()
+        if n < low:
+            raise self.error(expected, start, self.pos, cls)
+        return n
+
     def ident(self) -> Optional[str]:
         self.skip_ws()
         start = self.pos
@@ -119,10 +132,7 @@ def _exp_value(sc: _Scanner) -> Fraction:
     if sc.take("("):
         num = sc.integer()
         sc.expect("/")
-        start = sc.pos
-        den = sc.integer()
-        if den <= 0:
-            raise ParseError(start, sc.pos, "a positive denominator", str(den), sc.text)
+        den = sc.bounded_integer(1, "a positive denominator")
         sc.expect(")")
         return Fraction(num, den)
     return Fraction(sc.integer())
@@ -150,9 +160,7 @@ def parse_series(text: str, start: int = 0, end: Optional[int] = None) -> Puiseu
         start = sc.pos
         exp, coeff = _parse_term(sc)
         if exp in seen:
-            raise DuplicateExponent(
-                start, sc.pos, "a fresh exponent", f"t^{exp} repeated", text
-            )
+            raise sc.error("a fresh exponent", start, sc.pos, DuplicateExponent)
         seen[exp] = True
         terms.append((exp, sign * coeff))
         first = False
@@ -193,11 +201,7 @@ def _parse_term(sc: _Scanner) -> Tuple[Fraction, Fraction]:
     num = sc.integer()
     coeff = Fraction(num)
     if sc.take("/"):
-        start = sc.pos
-        den = sc.integer()
-        if den <= 0:
-            raise ParseError(start, sc.pos, "a positive denominator", str(den), sc.text)
-        coeff = Fraction(num, den)
+        coeff = Fraction(num, sc.bounded_integer(1, "a positive denominator"))
     save = sc.pos
     if sc.take("*"):
         if sc.peek() == "t":
@@ -271,26 +275,18 @@ def _parse_unary(sc: _Scanner, names) -> Expr:
 def _parse_power(sc: _Scanner, names) -> Expr:
     base = _parse_atom(sc, names)
     while sc.take("^"):
-        start = sc.pos
         ch = sc.peek()
         if ch == "(":
             sc.expect("(")
             num = sc.integer()
             sc.expect("/")
-            den_start = sc.pos
-            den = sc.integer()
-            if den <= 0:
-                raise NonRationalExponent(
-                    den_start, sc.pos, "a positive denominator", str(den), sc.text
-                )
+            den = sc.bounded_integer(1, "a positive denominator", NonRationalExponent)
             sc.expect(")")
             base = Pow(base, Fraction(num, den))
         elif ch.isdigit() or ch in "+-":
             base = Pow(base, Fraction(sc.integer()))
         else:
-            raise NonRationalExponent(
-                start, sc.pos + 1, "an integer or (p/q) exponent", repr(ch), sc.text
-            )
+            raise sc.error("an integer or (p/q) exponent", cls=NonRationalExponent)
     return base
 
 
@@ -310,9 +306,7 @@ def _parse_atom(sc: _Scanner, names) -> Expr:
     if name is None:
         raise sc.error("a variable, constant or '('")
     if name not in names:
-        raise UnknownVariable(
-            start, sc.pos, f"one of {', '.join(names)}", name, sc.text
-        )
+        raise sc.error(f"one of {', '.join(names)}", start, sc.pos, UnknownVariable)
     return Var(names.index(name), name)
 
 
@@ -380,7 +374,7 @@ def _parse_poly_term(sc: _Scanner):
                     break
             i += 1
         if depth != 0:
-            raise ParseError(start, sc.end, "a closing ')'", "end of input", sc.text)
+            raise ParseError(start, sc.end, "a closing ')'", repr("end of input"), sc.text)
         series = parse_series(sc.text, start + 1, i)
         sc.pos = i + 1
     else:
@@ -394,10 +388,6 @@ def _parse_poly_term(sc: _Scanner):
 def _parse_x_power(sc: _Scanner) -> int:
     sc.expect("X")
     if sc.take("^"):
-        start = sc.pos
-        deg = sc.integer()
-        if deg < 0:
-            raise ParseError(start, sc.pos, "a nonnegative degree", str(deg), sc.text)
-        return deg
+        return sc.bounded_integer(0, "a nonnegative degree")
     return 1
 

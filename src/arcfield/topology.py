@@ -32,11 +32,12 @@ on to the next.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     ArcFieldError,
@@ -131,25 +132,27 @@ def product_topology_limit(family: Sequence[ParamSeries]) -> ProductLimit:
 
 # -- arc sampling ---------------------------------------------------------------
 
+# the sampler's fixed distribution (see ArcSamplerSpec), the probes' working
+# order, the surjective transfer's default target and alpha's denominator bound
+_MAX_EXP_NUM, _MAX_DEN, _COEFF_HEIGHT, _MAX_TERMS = 8, 4, 10, 3
+_ORDER = Fraction(_MAX_EXP_NUM + 8)
+_TARGET = Fraction(_MAX_EXP_NUM + 2)
+_ALPHA_MAX_DEN = 24
+
 
 @dataclass(frozen=True)
 class ArcSamplerSpec:
     """Distribution of random Puiseux polynomial arcs based at 0.
 
-    Exponents live in {k/q : k <= max_exp_num * q, q <= max_den}, coefficients
-    are small rationals of height at most coeff_height; ``min_lead_exp`` sets
-    a per-component floor on the leading exponent (default 1 everywhere) and
-    ``unit_lead``/``positive_lead`` tame the leading coefficient for maps that
-    take exact roots of it.
+    Each component draws a denominator q <= 4, then 1 to 3 exponents k/q
+    with k <= 8q, and coefficients n/m with 0 < |n| <= 10 and m <= 4.
+    ``min_lead_exp`` sets a per-component floor on the exponents (default 1
+    everywhere), and ``unit_lead`` makes the leading coefficient +-1, for
+    maps that take exact roots of it.
     """
 
     dim: int = 1
-    max_exp_num: int = 8
-    max_den: int = 4
-    coeff_height: int = 10
-    max_terms: int = 3
     unit_lead: bool = False
-    positive_lead: bool = False
     min_lead_exp: tuple = ()
 
     def floor_exp(self, i: int) -> Fraction:
@@ -158,14 +161,21 @@ class ArcSamplerSpec:
         return Fraction(1)
 
 
+def _nonzero_numerator(rng: random.Random) -> int:
+    num = 0
+    while num == 0:
+        num = rng.randint(-_COEFF_HEIGHT, _COEFF_HEIGHT)
+    return num
+
+
 def sample_series(rng: random.Random, spec: ArcSamplerSpec, comp: int) -> PuiseuxSeries:
-    q = rng.randint(1, spec.max_den)
+    q = rng.randint(1, _MAX_DEN)
     lo = spec.floor_exp(comp)
     start = max(math.ceil(lo * q), 0 if lo <= 0 else 1)
     # draw numerators k >= lo*q; sample picks by position, so a range draws
     # the arcs a list of the Fractions k/q would
-    ks = range(start, spec.max_exp_num * q + 1)
-    count = min(rng.randint(1, spec.max_terms), len(ks) or 1)
+    ks = range(start, _MAX_EXP_NUM * q + 1)
+    count = min(rng.randint(1, _MAX_TERMS), len(ks) or 1)
     if ks:
         exps = [Fraction(k, q) for k in sorted(rng.sample(ks, count))]
     else:
@@ -173,14 +183,9 @@ def sample_series(rng: random.Random, spec: ArcSamplerSpec, comp: int) -> Puiseu
     terms = []
     for j, e in enumerate(exps):
         if j == 0 and spec.unit_lead:
-            c = Fraction(1 if spec.positive_lead else rng.choice((1, -1)))
+            c = Fraction(rng.choice((1, -1)))
         else:
-            num = 0
-            while num == 0:
-                num = rng.randint(-spec.coeff_height, spec.coeff_height)
-            c = Fraction(num, rng.randint(1, 4))
-            if j == 0 and spec.positive_lead:
-                c = abs(c)
+            c = Fraction(_nonzero_numerator(rng), rng.randint(1, 4))
         terms.append((e, c))
     return PuiseuxSeries(terms)
 
@@ -206,11 +211,8 @@ def sample_pair(rng: random.Random, spec: ArcSamplerSpec) -> tuple:
         delta = tuple(-s for s in gamma)
     elif mode == 1:
         comp = rng.randrange(spec.dim)
-        bump_exp = Fraction(spec.max_exp_num + rng.randint(1, 4))
-        num = 0
-        while num == 0:
-            num = rng.randint(-spec.coeff_height, spec.coeff_height)
-        bump = PuiseuxSeries.t_power(bump_exp, Fraction(num))
+        bump_exp = Fraction(_MAX_EXP_NUM + rng.randint(1, 4))
+        bump = PuiseuxSeries.t_power(bump_exp, Fraction(_nonzero_numerator(rng)))
         delta = tuple(
             s + bump if i == comp else s for i, s in enumerate(gamma)
         )
@@ -277,12 +279,7 @@ class HolderEstimate:
 
 def best_rational_below(x: Fraction, max_den: int) -> Fraction:
     """Largest rational with denominator <= max_den that is <= x."""
-    best = None
-    for q in range(1, max_den + 1):
-        cand = Fraction(math.floor(x * q), q)
-        if best is None or cand > best:
-            best = cand
-    return best
+    return max(Fraction(math.floor(x * q), q) for q in range(1, max_den + 1))
 
 
 def holder_probe(
@@ -290,23 +287,19 @@ def holder_probe(
     spec: ArcSamplerSpec,
     trials: int = 100,
     seed: int = 0,
-    order=None,
-    alpha_max_den: int = 24,
 ) -> HolderEstimate:
     """Fit the largest ord-inequality exponent over seeded arc pairs.
 
     Pairs whose images cannot be evaluated (root guards) or whose image
-    difference does not resolve at the working order are discarded and
+    difference does not resolve at the working order 16 are discarded and
     counted, not fatal.  Images are compared by ``_image_ord_dist``, which
     settles a pair at the lowest rung that decides it: relative precision
-    order/8, order/4 or order/2, capped at ``order``, then ``order`` itself.
-    The estimate equals the one with every image evaluated at ``order``
-    (see the module docstring).  alpha is searched over
-    rationals in (0, 1] with bounded denominator; the offset is the worst
-    slack at that alpha, so it is nonnegative by construction.
+    2, 4 or 8, capped at order 16, then order 16 itself.  The estimate
+    equals the one with every image evaluated at order 16 (see the module
+    docstring).  alpha is searched over rationals in (0, 1] with
+    denominator at most 24; the offset is the worst slack at that alpha, so
+    it is nonnegative by construction.
     """
-    if order is None:
-        order = Fraction(spec.max_exp_num + 8)
     ratios = []  # (D/d, d, D, pair)
 
     def use(gamma, delta, d, img):
@@ -316,50 +309,60 @@ def holder_probe(
         ratios.append((Fraction(img) / d, d, img, (gamma, delta)))
         return True
 
-    discarded = _seeded_pairs(h, spec, trials, seed, order, use)
+    discarded = _seeded_pairs(h, spec, trials, seed, use)
     if not ratios:
         return HolderEstimate(Fraction(1), Fraction(0), trials, discarded, ("", ""))
     worst = min(ratios, key=lambda r: r[0])
     cap = min(Fraction(1), worst[0])
-    alpha = max(Fraction(0), best_rational_below(cap, alpha_max_den))
+    alpha = max(Fraction(0), best_rational_below(cap, _ALPHA_MAX_DEN))
     offset = min(D - alpha * d for _r, d, D, _p in ratios)
-    g, dta = worst[3]
-    rendered = (
-        "(" + ", ".join(render_series(s) for s in g) + ")",
-        "(" + ", ".join(render_series(s) for s in dta) + ")",
-    )
+    rendered = tuple("(" + ", ".join(map(render_series, arc)) + ")" for arc in worst[3])
     return HolderEstimate(alpha, offset, trials, discarded, rendered)
 
 
-def _seeded_pairs(h, spec, trials, seed, order, use) -> int:
+def _seeded_pairs(h, spec, trials, seed, use) -> int:
     """Feed seeded arc pairs to ``use`` until ``trials`` of them count.
 
-    The first pair is ``canonical_pair``, the i-th ``sample_pair`` on
-    Random(seed ^ i), and at most 50 trials + 10 are drawn.  Identical arcs
-    are skipped.  A pair whose images do not evaluate is discarded, and so
-    is one for which ``use(gamma, delta, d, img)`` returns False.  Returns
-    the discard count; too few counted pairs raise DegenerateData.
+    Attempt 0 is ``canonical_pair``, attempt i > 0 ``sample_pair`` on
+    Random(seed ^ i), run by ``_trial_loop``.  Identical arcs are skipped.
+    A pair whose images do not evaluate at order 16 is discarded, and so is
+    one for which ``use(gamma, delta, d, img)`` returns False.  Returns the
+    discard count; too few counted pairs raise DegenerateData.
     """
-    produced = discarded = 0
-    for i in range(50 * trials + 10):
-        if produced >= trials:
-            break
+
+    def attempt(i):
         if i == 0:
             gamma, delta = canonical_pair(spec)
         else:
             gamma, delta = sample_pair(random.Random(seed ^ i), spec)
         d = tadic_ord_dist(gamma, delta)
         if isinstance(d, ZeroUpToTruncation):
-            continue  # identical arcs carry no constraint
-        img = _image_ord_dist(h, gamma, delta, order)
-        if img is not None and use(gamma, delta, d, img):
+            return None  # identical arcs carry no constraint
+        img = _image_ord_dist(h, gamma, delta, _ORDER)
+        return img is not None and use(gamma, delta, d, img)
+
+    return _trial_loop(trials, attempt, "evaluate {} of {} pairs")
+
+
+def _trial_loop(trials, attempt, what) -> int:
+    """Run ``attempt(i)`` for i = 0, 1, ... until ``trials`` attempts count.
+
+    An attempt returns True (counted), False (discarded) or None (skipped).
+    At most 50 trials + 10 attempts are made.  Returns the discard count;
+    too few counted attempts raise DegenerateData, "could only " + ``what``
+    filled with the counted and wanted numbers.
+    """
+    produced = discarded = 0
+    for i in range(50 * trials + 10):
+        if produced >= trials:
+            break
+        outcome = attempt(i)
+        if outcome:
             produced += 1
-        else:
+        elif outcome is not None:
             discarded += 1
     if produced < trials:
-        raise DegenerateData(
-            f"could only evaluate {produced} of {trials} pairs (discarded {discarded})"
-        )
+        raise DegenerateData(f"could only {what.format(produced, trials)} (discarded {discarded})")
     return discarded
 
 
@@ -459,32 +462,21 @@ def uniform_modulus_probe(
     for lo, hi in box:
         n = max(1, round((hi - lo) / grid_step))
         grids.append([lo + (hi - lo) * i / n for i in range(n + 1)])
-    points: List[tuple] = [()]
-    for axis in grids:
-        points = [p + (x,) for p in points for x in axis]
+    points = list(itertools.product(*grids))
     values = [eval_map_float(h, p) for p in points]
     order = sorted(range(len(points)), key=lambda k: points[k])
     best = 1.0
-    if len(box) == 1:
-        # sorted sweep: stop scanning past the current best distance
-        for a in range(len(order)):
-            ia = order[a]
-            for b in range(a + 1, len(order)):
-                ib = order[b]
-                dx = abs(points[ib][0] - points[ia][0])
-                if dx >= best:
-                    break
-                dv = _norm_diff(values[ia], values[ib])
-                if dv >= epsilon:
-                    best = dx
-                    break
-        return best
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            dx = _norm_diff(points[a], points[b])
-            if dx >= best:
-                continue
-            if _norm_diff(values[a], values[b]) >= epsilon:
+    # sorted sweep: the distance of two points is at least the gap of their
+    # first coordinates, so the scan from a point stops once that gap
+    # reaches the current best
+    for a in range(len(order)):
+        ia = order[a]
+        for b in range(a + 1, len(order)):
+            ib = order[b]
+            if points[ib][0] - points[ia][0] >= best:
+                break
+            dx = _norm_diff(points[ia], points[ib])
+            if dx < best and _norm_diff(values[ia], values[ib]) >= epsilon:
                 best = dx
     return best
 
@@ -501,7 +493,6 @@ class TransferReport:
     kind: str
     trials: int
     status: str  # "pass"
-    detail: str = ""
 
 
 def transfer_check(
@@ -511,31 +502,28 @@ def transfer_check(
     trials: int = 100,
     seed: int = 0,
     target=None,
-    order=None,
     mode: str = "exact",
 ) -> TransferReport:
     """Sampled transfer of injectivity / surjectivity / limit additivity.
 
-    ``injective``: distinct sampled arcs must have distinguishable images;
-    a pair with equal images raises CounterexampleFound carrying it.
-    ``surjective``: sampled arcs of the image (pushforwards of random source
-    arcs) must admit certified preimage arcs.  ``limit_additive``: arc limits
-    at 0+ add, whenever both exist.
+    ``injective``: distinct sampled arcs must have distinguishable images at
+    order 16; a pair with equal images raises CounterexampleFound carrying
+    it.  ``surjective``: sampled arcs of the image (pushforwards of random
+    source arcs) must admit preimage arcs whose images agree with them below
+    ``target`` (default 10).  ``limit_additive``: arc limits at 0+ add,
+    whenever both exist.
     """
-    if order is None:
-        order = Fraction(spec.max_exp_num + 8)
-    if target is None:
-        target = Fraction(spec.max_exp_num + 2)
     if kind == "injective":
-        return _check_injective(h, spec, trials, seed, order)
+        return _check_injective(h, spec, trials, seed)
     if kind == "surjective":
+        target = _TARGET if target is None else target
         return _check_surjective(h, spec, trials, seed, target, mode)
     if kind == "limit_additive":
         return _check_limit_additive(spec, trials, seed)
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def _check_injective(h, spec, trials, seed, order):
+def _check_injective(h, spec, trials, seed):
     def use(gamma, delta, _d, img):
         _injective_witness(img, gamma, delta)
         # a map symmetric in two coordinates sends an arc and its copy with
@@ -544,20 +532,17 @@ def _check_injective(h, spec, trials, seed, order):
         for arc in (gamma, delta):
             for swapped in _swapped_copies(arc):
                 if not isinstance(tadic_ord_dist(arc, swapped), ZeroUpToTruncation):
-                    _injective_witness(_image_ord_dist(h, arc, swapped, order), arc, swapped)
+                    _injective_witness(_image_ord_dist(h, arc, swapped, _ORDER), arc, swapped)
         return True
 
-    _seeded_pairs(h, spec, trials, seed, order, use)
+    _seeded_pairs(h, spec, trials, seed, use)
     return TransferReport("injective", trials, "pass")
 
 
 def _injective_witness(img, gamma, delta):
     """Raise CounterexampleFound when the images are exactly equal."""
     if isinstance(img, ZeroUpToTruncation) and img.trunc is None:
-        witness = (
-            tuple(render_series(s) for s in gamma),
-            tuple(render_series(s) for s in delta),
-        )
+        witness = tuple(tuple(map(render_series, arc)) for arc in (gamma, delta))
         raise CounterexampleFound("injective", witness)
 
 
@@ -571,44 +556,28 @@ def _swapped_copies(arc):
 
 
 def _check_surjective(h, spec, trials, seed, target, mode):
-    produced = 0
-    i = 0
-    attempts = 0
-    while produced < trials and attempts < 50 * trials + 10:
-        attempts += 1
-        rng = random.Random(seed ^ i)
-        i += 1
-        source = sample_arc(rng, spec)
+    order = Fraction(target) + 2
+
+    def attempt(i):
+        source = sample_arc(random.Random(seed ^ i), spec)
         try:
-            gamma = eval_map_series(h, source, order=Fraction(target) + 2)
+            gamma = eval_map_series(h, source, order=order)
         except ArcFieldError:
-            continue
+            return False
         delta = solve_preimage_arc(h, gamma, target, mode=mode)
-        image = eval_map_series(h, delta, order=Fraction(target) + 2)
+        image = eval_map_series(h, delta, order=order)
         for got, want in zip(image, gamma):
             lb = numeric_difference(got, want).ord_lower_bound()
             if lb is not None and lb < target:
-                raise CounterexampleFound(
-                    "surjective", tuple(render_series(s) for s in gamma)
-                )
-        produced += 1
-    if produced < trials:
-        raise DegenerateData(
-            f"could only push forward {produced} of {trials} arcs "
-            f"(discarded {attempts - produced})"
-        )
-    return TransferReport("surjective", produced, "pass")
+                raise CounterexampleFound("surjective", tuple(map(render_series, gamma)))
+        return True
+
+    _trial_loop(trials, attempt, "push forward {} of {} arcs")
+    return TransferReport("surjective", trials, "pass")
 
 
 def _check_limit_additive(spec, trials, seed):
-    zero_floor = ArcSamplerSpec(
-        dim=spec.dim,
-        max_exp_num=spec.max_exp_num,
-        max_den=spec.max_den,
-        coeff_height=spec.coeff_height,
-        max_terms=spec.max_terms,
-        min_lead_exp=tuple(Fraction(0) for _ in range(spec.dim)),
-    )
+    zero_floor = ArcSamplerSpec(spec.dim, min_lead_exp=(Fraction(0),) * spec.dim)
     for i in range(trials):
         rng = random.Random(seed ^ i)
         gamma = sample_arc(rng, zero_floor)

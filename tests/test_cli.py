@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -366,6 +367,16 @@ HOLDER_X = ["probe", "holder", "--map", "x", "--vars", "x", "--trials", "3"]
                  id="holder-min-ord-too-few"),
     pytest.param(TRANSPORT + ["surjective", "--min-ord", "1/2,1"], id="surjective-min-ord-too-many"),
     pytest.param(TRANSPORT + ["injective", "--min-ord", "0"], id="injective-min-ord-0"),
+    # wider than the float range: hi - lo overflows
+    pytest.param(UNIF + ["--box=-1e308,1e308", "--epsilon", "0.1", "--grid-step", "0.25"],
+                 id="unif-box-too-wide"),
+    pytest.param(LOJA + ["--box=-1e308,1e308", "--trials", "5", "--emit", "structured"],
+                 id="loja-box-too-wide"),
+    # nothing lies below t^0 to compare, so a pass would be vacuous
+    pytest.param(["probe", "transport", "--transfer-kind", "surjective", "--map", "x^2",
+                  "--vars", "x", "--target", "0", "--trials", "3"], id="surjective-target-0"),
+    pytest.param(["probe", "transport", "--transfer-kind", "surjective", "--map", "x^2",
+                  "--vars", "x", "--target=-5", "--trials", "3"], id="surjective-target-negative"),
 ])
 def test_bad_probe_input_is_one_error_line(argv):
     code, out, err = run(argv)
@@ -519,6 +530,8 @@ def test_loja_reads_tolerance():
 # big integer exponent drives a chain of products on a non-monomial base and a
 # huge power of a coefficient other than +-1, so big exponents are drawn over
 # arcs whose components are unit monomials or known only up to a bound.
+# Maps, arcs and polynomials are also drawn cut short or with one character
+# replaced or inserted, so that parse errors and their spans are drawn too.
 
 SERIES = ["t", "-t", "2*t", "t^(1/2)", "t + t^2", "t - t^(3/2) + O(t^3)", "O(t^1)", "0",
           "1 + t", "-1/3*t^(5/2)", "3*t^2 - t^3", f"{BIG}*t", f"t + {BIG}*t^2", f"{NEAR_MAX}*t",
@@ -559,6 +572,26 @@ FLAGS = [["--t-order", "3"], ["--t-order", "7/2"], ["--t-order", "0"], ["--t-ord
          ["--map", "x"], ["--phi1", "x"], ["--arc", "t"], ["--transfer-kind", "surjective"]]
 
 
+def _corrupt(text):
+    """The text, or it cut short, or with one character replaced or inserted."""
+    @st.composite
+    def draw_corrupted(draw):
+        s = draw(text)
+        how = draw(st.sampled_from(["keep", "keep", "cut", "replace", "insert"]))
+        if how == "keep" or not s:
+            return s
+        i = draw(st.integers(0, len(s) - 1))
+        if how == "cut":
+            return s[:i]
+        junk = draw(st.sampled_from(JUNK))
+        return s[:i] + junk + s[i + (how == "replace"):]
+    return draw_corrupted()
+
+
+JUNK = ["(", ")", "^", "/", "*", ";", ",", "t", "X", "O", "z", " ", "0", "-", "1/0", "^(1/0)",
+        "^(2/-3)", "^x", "é"]
+
+
 @st.composite
 def argvs(draw):
     kind = draw(st.sampled_from(["eval", "eval-big", "roots", "holder", "transport",
@@ -566,30 +599,59 @@ def argvs(draw):
     order = ["--t-order", draw(st.sampled_from(["1", "2", "3", "5/2"]))]
     trials = ["--trials", draw(st.sampled_from(["1", "2", "3"]))]
     if kind == "eval":
-        argv = ["eval", draw(_map()), "--arc", draw(_arc(SERIES))] + order
+        argv = ["eval", draw(_corrupt(_map())), "--arc", draw(_corrupt(_arc(SERIES)))] + order
     elif kind == "eval-big":
         argv = ["eval", draw(st.sampled_from(BIG_POWER_MAPS)), "--arc",
                 draw(_arc(UNIT_SERIES))] + order
     elif kind == "roots":
         coeffs = draw(st.lists(st.sampled_from(SERIES), min_size=1, max_size=3))
-        argv = ["roots", "; ".join(coeffs + ["1"])] + order
+        argv = ["roots", draw(_corrupt(st.just("; ".join(coeffs + ["1"]))))] + order
     elif kind == "holder":
-        argv = ["probe", "holder", "--map", draw(_map())] + trials
+        argv = ["probe", "holder", "--map", draw(_corrupt(_map()))] + trials
     elif kind == "transport":
         transfer = draw(st.sampled_from(["injective", "surjective", "limit_additive"]))
-        argv = ["probe", "transport", "--transfer-kind", transfer, "--map", draw(_map())] + trials
+        argv = ["probe", "transport", "--transfer-kind", transfer, "--map",
+                draw(_corrupt(_map()))] + trials
         argv += draw(st.sampled_from([[], ["--target", "2"], ["--mode", "numeric"]]))
     elif kind == "loja":
-        argv = ["probe", "loja", "--phi1", draw(_expr()), "--phi2", draw(_expr())] + trials
+        argv = ["probe", "loja", "--phi1", draw(_corrupt(_expr())), "--phi2",
+                draw(_corrupt(_expr()))] + trials
     elif kind == "unif":
-        argv = ["probe", "unif", "--map", draw(_map()), "--grid-step", "0.25",
+        argv = ["probe", "unif", "--map", draw(_corrupt(_map())), "--grid-step", "0.25",
                 "--box", draw(st.sampled_from(["-1,1", "0,1;0,1"]))]
     else:
         argv = ["counterexample"] + ["--t-order", draw(st.sampled_from(["3", "4", "9/2"]))]
     argv += ["--vars", draw(st.sampled_from(["x", "x,y", "a,b"]))] if draw(st.booleans()) else []
+    argv += ["--emit", "structured"] if draw(st.booleans()) else []
     for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=2)):
         argv += flag
     return argv
+
+
+def _parsed_texts(argv):
+    """The arguments that main() hands to a parser: maps, arcs and polynomials."""
+    texts = [argv[1]] if argv[0] in ("eval", "roots") else []
+    return texts + [b for a, b in zip(argv, argv[1:]) if a in ("--map", "--phi1", "--phi2", "--arc")]
+
+
+def _check_parse_error(argv, err):
+    """A span ``bytes a..b`` lies in a parsed argument, and ``found`` quotes its bytes."""
+    m = re.fullmatch(r"parse error at bytes (\d+)\.\.(\d+): expected (.*), found (.*)\n", err)
+    assert m, err
+    a, b, found = int(m[1]), int(m[2]), m[4]
+    digits = re.fullmatch(r"(\d+) digits", found)  # an integer past the digit limit
+    assert any(
+        0 <= a <= b <= len(text)
+        and (found in (repr(text[a:b]), "'end of input'")
+             or digits is not None and len(text[a:b].lstrip("+-")) == int(digits[1]))
+        for text in _parsed_texts(argv)
+    ), (argv, err)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -599,9 +661,17 @@ def argvs(draw):
           "--trials", "3"])
 @example(["counterexample", "--t-order", BIG])
 @example(["probe", "loja", "--phi1", "x", "--phi2", BIG, "--vars", "x", "--trials", "3"])
+@example(["probe", "unif", "--map", "x", "--vars", "x", "--box=-1e308,1e308", "--epsilon", "0.1",
+          "--grid-step", "0.25"])
+@example(["probe", "loja", "--phi1", "x", "--phi2", "x^2", "--vars", "x", "--box=-1e308,1e308",
+          "--trials", "5", "--emit", "structured"])
 def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
     cap = get_ram_cap()
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert get_ram_cap() == cap
+    if err.startswith("parse error"):
+        _check_parse_error(argv, err)
+    if out and "structured" in argv:
+        _strict_json(out)

@@ -101,7 +101,7 @@ class TestMaps:
     def test_unknown_variable_span(self):
         with pytest.raises(UnknownVariable) as info:
             parse_map("x + longname * y")
-        assert info.value.found == "longname"
+        assert info.value.found == "'longname'"
         assert info.value.start == 4
 
     def test_non_rational_exponent(self):

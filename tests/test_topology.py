@@ -15,7 +15,7 @@ from arcfield.errors import (
     IrrationalLeadingRoot,
     RamificationOverflow,
 )
-from arcfield.mapexpr import Pow, eval_map_series, map_expr, variables
+from arcfield.mapexpr import Pow, eval_map_float, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
 from arcfield.parser import parse_map
 from arcfield.puiseux import (
@@ -30,6 +30,7 @@ from arcfield.topology import (
     ArcSamplerSpec,
     HolderEstimate,
     _image_ord_dist,
+    _trial_loop,
     best_rational_below,
     canonical_pair,
     holder_probe,
@@ -245,6 +246,30 @@ class TestHolder:
                 continue
             assert img >= est.alpha * dist + est.constant_offset
 
+    def test_trial_loop_counts_discards_but_not_skips(self):
+        # attempt i returns True (counted), False (discarded) or None (skipped)
+        seen = []
+
+        def attempt(i):
+            seen.append(i)
+            return (None, False, True, None, True)[i] if i < 5 else True
+
+        assert _trial_loop(2, attempt, "evaluate {} of {} pairs") == 1
+        assert seen == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("outcome, discarded", [(False, 160), (None, 0)])
+    def test_trial_loop_gives_up_after_50_trials_plus_10_attempts(self, outcome, discarded):
+        seen = []
+
+        def attempt(i):
+            seen.append(i)
+            return outcome
+
+        message = rf"could only push forward 0 of 3 arcs \(discarded {discarded}\)"
+        with pytest.raises(DegenerateData, match=message):
+            _trial_loop(3, attempt, "push forward {} of {} arcs")
+        assert seen == list(range(160))
+
     def test_determinism(self):
         phi = radial_stretch_map()
         spec = ArcSamplerSpec(dim=2, min_lead_exp=(F(1), F(2)))
@@ -327,6 +352,64 @@ class TestUniformModulus:
         r = uniform_modulus_probe(map_expr((x * x,), ("x",)), [(0.0, 10.0)], 0.1, 0.002)
         assert abs(r - 0.005) <= 0.002
         assert r > 0
+
+
+
+def two_path_modulus(h, box, epsilon, grid_step):
+    """The uniform modulus as first written: a sorted sweep on 1-D boxes and a
+    scan of every pair of grid points on boxes of more dimensions."""
+    norm = lambda u, v: math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
+    grids = []
+    for lo, hi in box:
+        n = max(1, round((hi - lo) / grid_step))
+        grids.append([lo + (hi - lo) * i / n for i in range(n + 1)])
+    points = [()]
+    for axis in grids:
+        points = [p + (x,) for p in points for x in axis]
+    values = [eval_map_float(h, p) for p in points]
+    best = 1.0
+    if len(box) == 1:
+        order = sorted(range(len(points)), key=lambda k: points[k])
+        for a in range(len(order)):
+            for b in range(a + 1, len(order)):
+                dx = abs(points[order[b]][0] - points[order[a]][0])
+                if dx >= best:
+                    break
+                if norm(values[order[a]], values[order[b]]) >= epsilon:
+                    best = dx
+                    break
+        return best
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            dx = norm(points[a], points[b])
+            if dx < best and norm(values[a], values[b]) >= epsilon:
+                best = dx
+    return best
+
+
+MODULUS_MAPS = {
+    1: ["x", "x^2", "x^3 - x", "(x, 3*x^2)"],
+    2: ["x*y", "(x - y^2, x^3)", "x^2 + 5*y^2", "(y, 2*x)"],
+    3: ["x*y*z", "(x + z^2, y^3)", "x - 4*y + z^3"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_sorted_sweep_matches_the_two_path_modulus(dim, data):
+    names = ("x", "y", "z")[:dim]
+    h = parse_map(data.draw(st.sampled_from(MODULUS_MAPS[dim])), names)
+    box = []
+    for _ in range(dim):
+        lo = data.draw(st.floats(-3, 2))
+        box.append((lo, lo + data.draw(st.floats(0.05, 3))))
+    # at most about 200, 20 and 7 grid steps along the widest axis, so that
+    # the reference's scan of every pair stays quick
+    widest = max(hi - lo for lo, hi in box)
+    step = widest / data.draw(st.floats(1, {1: 200, 2: 20, 3: 7}[dim]))
+    epsilon = data.draw(st.sampled_from([0.01, 0.1, 0.5, 2.0, 10.0]))
+    got = uniform_modulus_probe(h, box, epsilon, step)
+    assert got == two_path_modulus(h, box, epsilon, step)
 
 
 class TestTransfer:
@@ -602,27 +685,30 @@ class TestImageLadder:
         assert holder_probe(h, spec, trials=8, seed=3) == full_order_holder(h, spec, 8, 3)
 
 
+# the sampler's fixed distribution: exponents k/q with q <= 4 and k <= 8q,
+# at most 3 terms, coefficient numerators of height at most 10
+MAX_EXP_NUM, MAX_DEN, MAX_TERMS, COEFF_HEIGHT = 8, 4, 3, 10
+
+
 def reference_sample_series(rng, spec, comp):
     """The sampler as first written: every lattice exponent built as a Fraction."""
-    q = rng.randint(1, spec.max_den)
+    q = rng.randint(1, MAX_DEN)
     lo = spec.floor_exp(comp)
     start = max(math.ceil(lo * q), 0 if lo <= 0 else 1)
-    lattice = [F(k, q) for k in range(start, spec.max_exp_num * q + 1) if F(k, q) >= lo]
+    lattice = [F(k, q) for k in range(start, MAX_EXP_NUM * q + 1) if F(k, q) >= lo]
     if not lattice:
         lattice = [lo]
-    count = min(rng.randint(1, spec.max_terms), len(lattice))
+    count = min(rng.randint(1, MAX_TERMS), len(lattice))
     exps = sorted(rng.sample(lattice, count))
     terms = []
     for j, e in enumerate(exps):
         if j == 0 and spec.unit_lead:
-            c = F(1 if spec.positive_lead else rng.choice((1, -1)))
+            c = F(rng.choice((1, -1)))
         else:
             num = 0
             while num == 0:
-                num = rng.randint(-spec.coeff_height, spec.coeff_height)
+                num = rng.randint(-COEFF_HEIGHT, COEFF_HEIGHT)
             c = F(num, rng.randint(1, 4))
-            if j == 0 and spec.positive_lead:
-                c = abs(c)
         terms.append((e, c))
     return PuiseuxSeries(terms)
 
@@ -632,9 +718,11 @@ SAMPLER_SPECS = [
     ArcSamplerSpec(dim=1, unit_lead=True),
     ArcSamplerSpec(dim=2, min_lead_exp=(F(1), F(2))),
     ArcSamplerSpec(dim=2, min_lead_exp=(F(0), F(-1, 2))),
-    ArcSamplerSpec(dim=2, min_lead_exp=(F(1, 3), F(9)), positive_lead=True),  # 9 > max_exp_num
-    ArcSamplerSpec(dim=3, max_exp_num=3, max_den=7, max_terms=6, coeff_height=2),
-    ArcSamplerSpec(dim=1, max_exp_num=1, max_den=12, max_terms=40),  # more terms than lattice
+    # floors above the exponent lattice (9 > MAX_EXP_NUM): the floor itself is drawn
+    ArcSamplerSpec(dim=2, min_lead_exp=(F(1, 3), F(9)), unit_lead=True),
+    ArcSamplerSpec(dim=3, min_lead_exp=(F(17, 2), F(33, 4), F(1, 4))),
+    # fewer lattice points than drawn terms: the floor 8 leaves one, 15/2 one to three
+    ArcSamplerSpec(dim=2, min_lead_exp=(F(8), F(15, 2)), unit_lead=True),
 ]
 
 
