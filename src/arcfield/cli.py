@@ -127,8 +127,11 @@ def _fraction(text: str) -> Fraction:
 
 def _expand_at(value: Optional[str]) -> Optional[str]:
     if value is not None and value.startswith("@"):
-        with open(value[1:], "r", encoding="ascii") as fh:
-            return fh.read().strip()
+        try:
+            with open(value[1:], "r", encoding="ascii") as fh:
+                return fh.read().strip()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{value[1:]!r} is not an ASCII text file") from None
     return value
 
 

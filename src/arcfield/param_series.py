@@ -1,16 +1,20 @@
 """The Puiseux kernel over Laurent polynomials in ``e``.
 
 This is the exact vehicle for one-parameter families of arcs: a
-``ParamSeries`` is a ``PuiseuxSeries`` whose t-coefficients are
+``ParamSeries`` is a ``PuiseuxSeries`` in t whose coefficients are
 ``LaurentEps`` values, finite Laurent polynomials in the family parameter
-(written ``e`` in reports).  The series arithmetic, powers included, is the
-kernel's own; the subclass says how scalars enter the ring and names its
-binomial expansion, ``_param_binomial``, which runs the kernel's integer
-recurrence on Laurent rows.  A lead that is not a parameter monomial is not
-a unit, so only its nonnegative integer powers exist.  Convergence
-of the family as the parameter goes to 0 is decided coefficientwise: a
-t-coefficient carrying a negative parameter power is unbounded, and the
-lowest such t-exponent is recorded as a ``DivergenceWitness``.
+(written ``e`` in reports).  A ``LaurentEps`` is a ``PuiseuxSeries`` too, an
+exact series in ``e`` of ramification 1, so the arithmetic in both variables
+is the kernel's own.  ``LaurentEps`` adds what the t-series ask of a
+coefficient (its truthiness, its integer row, ``1 / c``) and refuses the
+powers that leave the Laurent ring: a lead that is not a parameter monomial
+is not a unit, so only its nonnegative integer powers exist.  ``ParamSeries``
+says how scalars enter the ring and names its binomial expansion,
+``_param_binomial``, which runs the kernel's integer recurrence on Laurent
+rows.  Convergence of the family as the parameter goes to 0 is decided
+coefficientwise: a t-coefficient carrying a negative parameter power is
+unbounded, and the lowest such t-exponent is recorded as a
+``DivergenceWitness``.
 """
 
 from __future__ import annotations
@@ -19,48 +23,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot, message_number
+from .errors import IrrationalLeadingRoot, message_number
 from .puiseux import PuiseuxSeries, _binomial_lattice, _render_exp
-from .qarith import Exp, Rat, lcm, rational_pow, render_rat
+from .qarith import Exp, Rat, lcm, render_rat
+
+# not called here, where every power is the kernel's; the benchmark's tracer
+# looks the name up in this module
+from .qarith import rational_pow  # noqa: F401
 
 
-class LaurentEps:
-    """Finite Laurent polynomial in the family parameter; exact coefficients."""
+class LaurentEps(PuiseuxSeries):
+    """Finite Laurent polynomial in the family parameter: an exact series in
+    ``e`` of ramification 1, whose ring operations are the kernel's."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            terms = terms.items()
-        acc = {}
-        for k, c in terms:
-            if isinstance(c, int):
-                c = Fraction(c)
-            acc[int(k)] = acc.get(int(k), Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((k, c) for k, c in acc.items() if c != 0))
-        )
+    _scalars = (int, Fraction)  # exact: no float enters the parameter ring
 
-    def __setattr__(self, *_args):
-        raise AttributeError("LaurentEps is immutable")
-
-    @classmethod
-    def _canonical(cls, terms: tuple) -> LaurentEps:
-        """Wrap terms that are already canonical: sorted, nonzero, int exponents."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    @classmethod
-    def constant(cls, c) -> LaurentEps:
-        return cls(((0, Fraction(c)),))
-
-    @classmethod
-    def eps_power(cls, k: int, c=Fraction(1)) -> LaurentEps:
-        return cls(((k, Fraction(c)),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __init__(self, terms=(), trunc: Optional[Exp] = None, ram: int = 1):
+        super().__init__(terms.items() if isinstance(terms, dict) else terms, trunc, ram)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -68,83 +49,35 @@ class LaurentEps:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def monomial(self):
-        """The single (eps_exp, coeff) pair; raises if not a monomial."""
-        if len(self.terms) != 1:
-            raise ValueError("not a parameter monomial")
-        return self.terms[0]
-
     def as_integer_ratio(self):
         """The integer row ((k, a), ...) and the denominator d with
         self = row / d, d the lcm of the coefficients' denominators."""
         d = 1
         for _k, a in self.terms:
             d = lcm(d, a.denominator)
-        return tuple((k, a.numerator * (d // a.denominator)) for k, a in self.terms), d
+        return tuple((k.numerator, a.numerator * (d // a.denominator)) for k, a in self.terms), d
 
     def has_negative_power(self) -> bool:
         return bool(self.terms) and self.terms[0][0] < 0
-
-    def constant_part(self) -> Rat:
-        for k, c in self.terms:
-            if k == 0:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other) -> LaurentEps:
-        other = _coerce_eps(other)
-        return LaurentEps(self.terms + other.terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentEps:
-        return LaurentEps(tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other) -> LaurentEps:
-        return self + (-_coerce_eps(other))
-
-    def __mul__(self, other) -> LaurentEps:
-        other = _coerce_eps(other)
-        acc = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = k1 + k2
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-        return LaurentEps(acc.items())
-
-    __rmul__ = __mul__
-
-    def inv(self) -> LaurentEps:
-        """Inverse: only monomials are units in the Laurent ring."""
-        k, c = self.monomial()
-        return LaurentEps(((-k, Fraction(1) / c),))
 
     def __rtruediv__(self, other) -> LaurentEps:
         """``other / self``, for a monomial ``self``."""
         return self.inv() * other
 
-    def pow_rational(self, e: Fraction) -> LaurentEps:
-        """A nonnegative integer power by products; any other power of
-        (c eps^k) when it stays a Laurent monomial; raises otherwise."""
+    def pow_rational(self, e, order=None) -> LaurentEps:
+        """The kernel's power, where it stays a Laurent polynomial: any
+        nonnegative integer power, and any other power of a monomial
+        c e^k whose parameter exponent k e is an integer."""
+        e = Fraction(e)
         if len(self.terms) != 1:
             if e.denominator != 1 or e < 0:
                 raise IrrationalLeadingRoot("leading coefficient is not a parameter monomial")
-            out = LaurentEps.constant(1)
-            for _ in range(e.numerator):
-                out = out * self
-            return out
-        k, c = self.terms[0]
-        ke = k * e
-        if ke.denominator != 1:
+        elif (self.terms[0][0] * e).denominator != 1:
             raise IrrationalLeadingRoot(
-                f"parameter exponent {k}*{e} is not an integer"
+                f"parameter exponent {message_number(self.terms[0][0])}*{message_number(e)} "
+                "is not an integer"
             )
-        if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
-        p = rational_pow(c, e)
-        if p is None:
-            raise IrrationalLeadingRoot(f"({message_number(c)})^{e} is irrational")
-        return LaurentEps(((int(ke), p),))
+        return super().pow_rational(e, order)
 
     def at(self, eps0: Rat) -> Rat:
         """Evaluate at a fixed nonzero parameter value."""
@@ -152,22 +85,8 @@ class LaurentEps:
             raise ZeroDivisionError("parameter specialization at 0")
         return sum((c * Fraction(eps0) ** k for k, c in self.terms), Fraction(0))
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentEps) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return f"LaurentEps({dict(self.terms)!r})"
-
-
-def _coerce_eps(x) -> LaurentEps:
-    if isinstance(x, LaurentEps):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentEps.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentEps")
+    def __str__(self):
+        return _render_eps_coeff(self)
 
 
 @dataclass(frozen=True)
@@ -209,13 +128,9 @@ class ParamSeries(PuiseuxSeries):
         return _param_binomial(u, e, rel, lead, shift)
 
     @classmethod
-    def term(cls, t_exp, coeff) -> ParamSeries:
-        return cls(((Fraction(t_exp), coeff),))
-
-    @classmethod
     def eps_t(cls, eps_exp: int, t_exp, c=Fraction(1)) -> ParamSeries:
         """The monomial c * eps^eps_exp * t^t_exp."""
-        return cls(((Fraction(t_exp), LaurentEps.eps_power(eps_exp, c)),))
+        return cls(((Fraction(t_exp), LaurentEps.t_power(eps_exp, c)),))
 
     def __str__(self):
         return render_param_series(self)
@@ -240,7 +155,7 @@ class ParamSeries(PuiseuxSeries):
         Only meaningful when no known coefficient has a negative parameter
         power; check :func:`divergence_witness` first.
         """
-        terms = tuple((e, c.constant_part()) for e, c in self.terms)
+        terms = tuple((e, c.coeff(0)) for e, c in self.terms)
         return PuiseuxSeries(terms, trunc=self.trunc)
 
 
@@ -277,13 +192,16 @@ def _param_binomial(u: ParamSeries, e: Fraction, rel, lead=None, shift=None) -> 
                         acc[k] = acc.get(k, 0) + a * fb
         h[n] = {k: c // n for k, c in acc.items() if c}
     lead_k, lead_c = lead.terms[0]
+    lead_k = lead_k.numerator  # an exponent of ramification 1
     num, den = lead_c.numerator, lead_c.denominator
     terms = []
     for n, i in enumerate(exps):
         row = h[n]
         if row:
-            coeff = tuple((k + lead_k, Fraction(num * row[k], den)) for k in sorted(row))
-            terms.append((Fraction(i, out_ram), LaurentEps._canonical(coeff)))
+            coeff = tuple(
+                (Fraction(k + lead_k), Fraction(num * row[k], den)) for k in sorted(row)
+            )
+            terms.append((Fraction(i, out_ram), LaurentEps._canonical(coeff, None, 1)))
         den *= scale
     return ParamSeries._canonical(tuple(terms), rel + shift, out_ram)
 
@@ -316,7 +234,7 @@ def divergence_witness(p: ParamSeries) -> Optional[DivergenceWitness]:
     for e, c in p.terms:
         if c.has_negative_power():
             k, a = c.terms[0]
-            return DivergenceWitness(t_exp=e, eps_exp=k, coeff=a)
+            return DivergenceWitness(t_exp=e, eps_exp=int(k), coeff=a)
     return None
 
 

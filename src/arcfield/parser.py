@@ -44,6 +44,11 @@ from .newton import PolyOverSeries
 from .puiseux import PuiseuxSeries
 
 
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit; ``str.isdigit`` also takes other scripts' digits."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     """Byte-position tokenizer shared by both grammars.
 
@@ -96,7 +101,7 @@ class _Scanner:
         if self.pos < self.end and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < self.end and self.text[self.pos].isdecimal():
+        while self.pos < self.end and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -196,7 +201,7 @@ def _parse_term(sc: _Scanner) -> Tuple[Fraction, Fraction]:
         if sc.take("^"):
             return _exp_value(sc), Fraction(1)
         return Fraction(1), Fraction(1)
-    if not (ch.isdigit() or ch in "+-"):
+    if not (_is_digit(ch) or ch in "+-"):
         raise sc.error("a coefficient or 't'")
     num = sc.integer()
     coeff = Fraction(num)
@@ -283,7 +288,7 @@ def _parse_power(sc: _Scanner, names) -> Expr:
             den = sc.bounded_integer(1, "a positive denominator", NonRationalExponent)
             sc.expect(")")
             base = Pow(base, Fraction(num, den))
-        elif ch.isdigit() or ch in "+-":
+        elif _is_digit(ch) or ch in "+-":
             base = Pow(base, Fraction(sc.integer()))
         else:
             raise sc.error("an integer or (p/q) exponent", cls=NonRationalExponent)
@@ -297,7 +302,7 @@ def _parse_atom(sc: _Scanner, names) -> Expr:
         inner = _parse_sum(sc, names)
         sc.expect(")")
         return inner
-    if ch.isdigit():
+    if _is_digit(ch):
         # integer constants only; "3/2" is ordinary division, which keeps
         # literal and operator readings from colliding in chains like a/1/4
         return Const(Fraction(sc.integer()))

@@ -16,12 +16,14 @@ Zero is three-valued and the distinction is load-bearing:
 Every operation computes the tightest sound truncation bound, so an unknown
 coefficient is never silently reported as zero.  One kernel serves three
 coefficient rings: exact ``Fraction`` values by default, 64-bit floats in
-numeric mode (modes are never mixed inside one computation), and
-``LaurentEps`` Laurent polynomials in a family parameter, through the
-``param_series.ParamSeries`` subclass.  The ring operations build their
-results with the class of their operand and test a coefficient for zero by
-its truthiness (``if c``), which each ring defines; a float product that
-underflows to 0.0 is dropped the same way.
+numeric mode (modes are never mixed inside one computation), and, through
+the ``param_series.ParamSeries`` subclass, Laurent polynomials in a family
+parameter.  Those coefficients are series of this kernel too: a
+``param_series.LaurentEps`` is an exact series in the parameter of
+ramification 1, so one kernel does the arithmetic in both variables.  The
+ring operations build their results with the class of their operand and
+test a coefficient for zero by its truthiness (``if c``), which each ring
+defines; a float product that underflows to 0.0 is dropped the same way.
 
 Powers take one path in every ring.  A positive integer power f^n of a
 truncated or non-monomial series is n - 1 products, whose bound is the

@@ -247,6 +247,18 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["payload"]["image"] == ["t", "t^2", "t^2"]
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "@{f}", "--vars", "x", "--arc", "t"], id="map"),
+        pytest.param(["eval", "x", "--vars", "x", "--arc", "@{f}"], id="arc"),
+        pytest.param(["roots", "@{f}"], id="roots"),
+    ])
+    def test_at_file_that_is_not_ascii_is_one_error_line(self, tmp_path, argv):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"x\xff")
+        code, out, err = run([a.format(f=f) for a in argv])
+        assert code == 1 and not out
+        assert err == f"error: {str(f)!r} is not an ASCII text file\n"
+
 
 class TestErrors:
     def test_parse_error_span(self):
@@ -589,7 +601,7 @@ def _corrupt(text):
 
 
 JUNK = ["(", ")", "^", "/", "*", ";", ",", "t", "X", "O", "z", " ", "0", "-", "1/0", "^(1/0)",
-        "^(2/-3)", "^x", "é"]
+        "^(2/-3)", "^x", "é", "٣", "^(١/٢)"]
 
 
 @st.composite

@@ -29,31 +29,31 @@ def eps_t(k, e, c=1):
 class TestArith:
     def test_cross_terms_cancel_parameter(self):
         # (e t) * (e^-1 t) = t^2
-        assert eps_t(1, 1) * eps_t(-1, 1) == ParamSeries.term(2, 1)
+        assert eps_t(1, 1) * eps_t(-1, 1) == ParamSeries.t_power(2, 1)
 
     def test_additive_cancellation(self):
-        s = (eps_t(1, 1) + ParamSeries.term(2, 1)) + (-eps_t(1, 1))
-        assert s == ParamSeries.term(2, 1)
+        s = (eps_t(1, 1) + ParamSeries.t_power(2, 1)) + (-eps_t(1, 1))
+        assert s == ParamSeries.t_power(2, 1)
 
     def test_distribute_and_collect(self):
         mixed = ParamSeries(((F(1), LaurentEps({1: F(1), -1: F(1)})),))
-        got = mixed * ParamSeries.term(1, 1)
+        got = mixed * ParamSeries.t_power(1, 1)
         assert got.terms == ((F(2), LaurentEps({1: F(1), -1: F(1)})),)
 
     def test_truncation_rules_match_kernel(self):
         a = eps_t(1, 1) + ParamSeries.unknown(3)
-        b = ParamSeries.term(-1, 1) + ParamSeries.one()
+        b = ParamSeries.t_power(-1, 1) + ParamSeries.one()
         prod = a * b
         assert prod.trunc == F(2)
 
     def test_division_by_parameter_monomial(self):
-        q = ParamSeries.term(2, 1) / eps_t(1, 1)
+        q = ParamSeries.t_power(2, 1) / eps_t(1, 1)
         assert q == eps_t(-1, 1)
 
 
 class TestSubstitution:
     def test_uv_product(self):
-        assert eps_t(1, 1) * eps_t(-1, 1) == ParamSeries.term(2, 1)
+        assert eps_t(1, 1) * eps_t(-1, 1) == ParamSeries.t_power(2, 1)
 
     def test_exponent_law_exhaustive(self):
         # u^m v^n at (e t, t/e), prefixed by e t: coefficient lands at
@@ -106,7 +106,7 @@ class TestDivergence:
         assert w == DivergenceWitness(t_exp=F(3), eps_exp=-1, coeff=F(1, 4))
 
     def test_bounded_family(self):
-        assert divergence_witness(eps_t(1, 1) + ParamSeries.term(2, 1)) is None
+        assert divergence_witness(eps_t(1, 1) + ParamSeries.t_power(2, 1)) is None
 
     def test_fractional_exponent(self):
         w = divergence_witness(ParamSeries.eps_t(-2, F(1, 2)))
@@ -144,7 +144,7 @@ class TestSpecialization:
                     assert abs(got - want) <= F(2, k) * _coeff_scale(p, e)
 
     def test_limit_drops_positive_powers(self):
-        p = ParamSeries.term(1, 1) + ParamSeries.eps_t(2, 2)
+        p = ParamSeries.t_power(1, 1) + ParamSeries.eps_t(2, 2)
         assert p.eps_limit() == PuiseuxSeries.t_power(1)
 
     def test_commutes_with_inverse_and_fourth_root(self):
@@ -206,7 +206,7 @@ class TestKernelBoundary:
         assert type(c) is LaurentEps and c == LaurentEps()
 
     def test_operations_stay_in_the_class(self):
-        a = eps_t(1, 1) + ParamSeries.term(2, F(1, 3)) + ParamSeries.unknown(6)
+        a = eps_t(1, 1) + ParamSeries.t_power(2, F(1, 3)) + ParamSeries.unknown(6)
         b = ParamSeries.one() + eps_t(-1, 1)
         results = [
             a + b, a - b, a * b, -a, a.truncate(4), b.inv(order=5),

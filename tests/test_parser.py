@@ -132,6 +132,23 @@ class TestMaps:
                 assert 0 <= e.start <= max(1, len(text))
 
 
+@pytest.mark.parametrize("parse, text, found", [
+    pytest.param(parse_map, "x^٣", "٣", id="map-exponent"),
+    pytest.param(parse_map, "٣*x", "٣", id="map-constant"),
+    pytest.param(parse_series, "t^(١/٢)", "١", id="series-exponent"),
+    pytest.param(parse_series, "٣*t", "٣", id="series-coefficient"),
+    pytest.param(parse_series, "2٣*t", "٣", id="series-after-a-digit"),
+    pytest.param(parse_poly, "X^٢ - t", "٢", id="poly-degree"),
+    pytest.param(parse_poly, "X^2 - ٢*t", "٢", id="poly-coefficient"),
+    pytest.param(parse_map, "x^²", "²", id="superscript"),
+])
+def test_only_ascii_digits_are_read(parse, text, found):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.found == repr(found)
+    assert text[info.value.start:info.value.end] == found
+
+
 class TestPoly:
     def test_polynomial_text(self):
         p = parse_poly("X^2 - (t + t^2)")

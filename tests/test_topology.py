@@ -185,7 +185,7 @@ class TestProductLimit:
         assert (res.witness.t_exp, res.witness.eps_exp) == (F(3), -1)
 
     def test_quadratic_parameter_converges(self):
-        fam = (ParamSeries.term(1, 1) + ParamSeries.eps_t(2, 2),)
+        fam = (ParamSeries.t_power(1, 1) + ParamSeries.eps_t(2, 2),)
         res = product_topology_limit(fam)
         assert res.converged
         assert res.limit[0] == t
