@@ -349,6 +349,8 @@ def run_probe(cfg: RunConfig, args) -> Report:
         arity = max(phi1.arity, phi2.arity)
         phi1, phi2 = (MapExpr(phi.exprs, names[:arity]) for phi in (phi1, phi2))
         box = _parse_box(args.box, arity)
+        if not math.isfinite(cfg.tolerance):
+            raise ConfigError("probe loja needs a finite --tolerance")
         fit = loja_fit(phi1, phi2, box, samples=cfg.trials, seed=cfg.seed)
         ok = fit.max_violation <= cfg.tolerance
         payload = {
@@ -366,10 +368,11 @@ def run_probe(cfg: RunConfig, args) -> Report:
     if kind == "unif":
         if not args.map_text:
             raise ConfigError("probe unif needs --map")
-        if not args.epsilon > 0:
-            raise ConfigError("probe unif needs --epsilon greater than 0")
-        if not args.grid_step > 0:
-            raise ConfigError("probe unif needs --grid-step greater than 0")
+        for flag, value in (("--epsilon", args.epsilon), ("--grid-step", args.grid_step)):
+            if not value > 0:
+                raise ConfigError(f"probe unif needs {flag} greater than 0")
+            if value == math.inf:
+                raise ConfigError(f"probe unif needs a finite {flag}")
         m = _pruned_map(_expand_at(args.map_text), _parse_vars(args.vars))
         box = _parse_box(args.box, m.arity)
         r = uniform_modulus_probe(m, box, args.epsilon, args.grid_step)
@@ -484,9 +487,16 @@ def emit(report: Report, out=None) -> None:
 def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     ram_cap = puiseux.get_ram_cap()
     try:
+        # argparse's int and float read other scripts' digits; _expand_at
+        # reads the file that an @path value names as ASCII
+        for arg in argv:
+            value = arg.partition("=")[2] if arg.startswith("-") else arg
+            if not arg.isascii() and not value.startswith("@"):
+                raise ConfigError(f"argument {ascii(arg)} is not ASCII")
         args = parser.parse_args(argv)
         cfg = _config_from(args)
         _reject_unread_flags(args, cfg)

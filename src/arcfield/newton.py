@@ -289,11 +289,8 @@ def _solve_linear(c0, c1, target, positive_only) -> Optional[_Branch]:
     lead = root.lead()
     if lead is None and not root.is_zero() and root.trunc <= 0:
         raise TruncationExhausted("root order undecidable at this truncation")
-    if positive_only:
-        if lead is not None and lead[0] <= 0:
-            return None
-        if lead is None and not root.is_zero() and root.trunc <= 0:
-            return None
+    if positive_only and lead is not None and lead[0] <= 0:
+        return None
     return _Branch(root.terms, 1, root.trunc)
 
 
@@ -735,20 +732,25 @@ def _candidates(ints, intervals):
         at_b = _at(ints, b, 1 << k)
         cand = Fraction(b, 1 << k) if at_b == 0 else None
         while cand is None and (b - a) * L >= 1 << k:
-            mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
-            at_mid = _at(ints, mid, 1 << k)
-            if at_mid == 0:
-                cand = Fraction(mid, 1 << k)
-            elif (at_mid > 0) == (at_b > 0):
-                b = mid
-            else:
-                a = mid
+            a, b, k, cand = _halve(ints, a, b, k, at_b)
         if cand is None:
             n = (b * L) >> k  # n/L is the last multiple of 1/L up to b/2^k
             if n << k > a * L and _at(ints, n, L) == 0:
                 cand = Fraction(n, L)
         out.append(cand)
     return out
+
+
+def _halve(ints, a, b, k, at_b):
+    """The half of (a/2^k, b/2^k] holding its one root of ``ints``, with that root
+    if it is the midpoint; ``at_b`` != 0 has the sign of ``ints`` at b."""
+    mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
+    at_mid = _at(ints, mid, 1 << k)
+    if at_mid == 0:
+        return a, b, k, Fraction(mid, 1 << k)
+    if (at_mid > 0) == (at_b > 0):
+        return a, mid, k, None
+    return mid, b, k, None
 
 
 def _bisect_root(ints, lo, hi, k):
@@ -759,28 +761,19 @@ def _bisect_root(ints, lo, hi, k):
     which the root lies decides: bisection alone would never end at a root
     that is that midpoint.
     """
-    def sign_at(x):
-        return _at(ints, x.numerator, x.denominator)
-
-    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
-    at_hi = sign_at(hi)
-    while at_hi and float(lo) != float(hi):
-        a, b = float(lo), float(hi)
+    at_hi = _at(ints, hi, 1 << k)
+    # int / int is correctly rounded, as float(Fraction) is
+    while at_hi and (a := lo / (1 << k)) != (b := hi / (1 << k)):
         if nextafter(a, b) == b:
             mid = (Fraction(a) + Fraction(b)) / 2
-            at_mid = sign_at(mid)
+            at_mid = _at(ints, mid.numerator, mid.denominator)
             if not at_mid:
                 return float(mid)
             return a if (at_mid > 0) == (at_hi > 0) else b
-        mid = (lo + hi) / 2
-        at_mid = sign_at(mid)
-        if not at_mid:
-            return float(mid)
-        if (at_mid > 0) == (at_hi > 0):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+        lo, hi, k, root = _halve(ints, lo, hi, k, at_hi)
+        if root is not None:
+            return float(root)
+    return hi / (1 << k)
 
 
 # -- the real-closedness witnesses ---------------------------------------------

@@ -62,7 +62,7 @@ class _Scanner:
         self.end = len(text) if end is None else end
 
     def skip_ws(self):
-        while self.pos < self.end and self.text[self.pos].isspace():
+        while self.pos < self.end and (ch := self.text[self.pos]).isascii() and ch.isspace():
             self.pos += 1
 
     def peek(self) -> str:
@@ -126,18 +126,18 @@ class _Scanner:
         self.skip_ws()
         start = self.pos
         while self.pos < self.end and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
+            (ch := self.text[self.pos]).isascii() and ch.isalpha() or ch == "_"
         ):
             self.pos += 1
         return self.text[start : self.pos] or None
 
 
-def _exp_value(sc: _Scanner) -> Fraction:
-    """exp := int | '(' int '/' posint ')'"""
+def _exp_value(sc: _Scanner, cls=ParseError) -> Fraction:
+    """exp := int | '(' int '/' posint ')'; ``cls`` for a denominator below 1"""
     if sc.take("("):
         num = sc.integer()
         sc.expect("/")
-        den = sc.bounded_integer(1, "a positive denominator")
+        den = sc.bounded_integer(1, "a positive denominator", cls)
         sc.expect(")")
         return Fraction(num, den)
     return Fraction(sc.integer())
@@ -194,13 +194,9 @@ def _parse_o_marker(sc: _Scanner) -> Fraction:
 
 def _parse_term(sc: _Scanner) -> Tuple[Fraction, Fraction]:
     """term := rat ['*' 't^' exp] | 't^' exp | 't'"""
-    sc.skip_ws()
     ch = sc.peek()
     if ch == "t":
-        sc.expect("t")
-        if sc.take("^"):
-            return _exp_value(sc), Fraction(1)
-        return Fraction(1), Fraction(1)
+        return _t_power(sc), Fraction(1)
     if not (_is_digit(ch) or ch in "+-"):
         raise sc.error("a coefficient or 't'")
     num = sc.integer()
@@ -210,12 +206,15 @@ def _parse_term(sc: _Scanner) -> Tuple[Fraction, Fraction]:
     save = sc.pos
     if sc.take("*"):
         if sc.peek() == "t":
-            sc.expect("t")
-            if sc.take("^"):
-                return _exp_value(sc), coeff
-            return Fraction(1), coeff
+            return _t_power(sc), coeff
         sc.pos = save  # the '*' belongs to an enclosing grammar (e.g. 2*X)
     return Fraction(0), coeff
+
+
+def _t_power(sc: _Scanner) -> Fraction:
+    """'t' ['^' exp], read for its exponent"""
+    sc.expect("t")
+    return _exp_value(sc) if sc.take("^") else Fraction(1)
 
 
 # -- map expressions --------------------------------------------------------------
@@ -281,17 +280,9 @@ def _parse_power(sc: _Scanner, names) -> Expr:
     base = _parse_atom(sc, names)
     while sc.take("^"):
         ch = sc.peek()
-        if ch == "(":
-            sc.expect("(")
-            num = sc.integer()
-            sc.expect("/")
-            den = sc.bounded_integer(1, "a positive denominator", NonRationalExponent)
-            sc.expect(")")
-            base = Pow(base, Fraction(num, den))
-        elif _is_digit(ch) or ch in "+-":
-            base = Pow(base, Fraction(sc.integer()))
-        else:
+        if not (ch == "(" or _is_digit(ch) or ch in "+-"):
             raise sc.error("an integer or (p/q) exponent", cls=NonRationalExponent)
+        base = Pow(base, _exp_value(sc, NonRationalExponent))
     return base
 
 
@@ -327,10 +318,7 @@ def parse_poly(text: str) -> PolyOverSeries:
     parenthesized series literals.
     """
     if ";" in text:
-        return PolyOverSeries(tuple(
-            PuiseuxSeries.zero() if text[a:b] == "0" else parse_series(text, a, b)
-            for a, b in chunk_spans(text)
-        ))
+        return PolyOverSeries(tuple(parse_series(text, a, b) for a, b in chunk_spans(text)))
     sc = _Scanner(text)
     acc: dict = {}
     sign = -1 if sc.take("-") else 1

@@ -133,6 +133,15 @@ def _add_bound(a: Optional[Exp], b: Optional[Exp]) -> Optional[Exp]:
     return a + b
 
 
+def _lattice_bound(trunc: Optional[Fraction], ram: int):
+    """``trunc * ram`` as (numerator, denominator): lattice index i lies
+    below ``trunc`` when i * den < num.  (None, None) when exact."""
+    if trunc is None:
+        return None, None
+    scaled = trunc * ram
+    return scaled.numerator, scaled.denominator
+
+
 def _below(e: Exp, bound: Optional[Exp]) -> bool:
     return bound is None or e < bound
 
@@ -167,11 +176,7 @@ class PuiseuxSeries:
             raise RamificationOverflow(r, _ram_cap)
         # accumulate on the integer lattice: int keys hash far cheaper than
         # Fraction keys, and the truncation test becomes one int compare
-        if trunc is None:
-            bound_num = bound_den = None
-        else:
-            scaled = trunc * r
-            bound_num, bound_den = scaled.numerator, scaled.denominator
+        bound_num, bound_den = _lattice_bound(trunc, r)
         acc = {}
         for e, c in pairs:
             i = e.numerator * (r // e.denominator)
@@ -321,11 +326,7 @@ class PuiseuxSeries:
         fb = ram // other.ram
         a = [(e.numerator * (self.ram // e.denominator) * fa, c) for e, c in self.terms]
         b = [(e.numerator * (other.ram // e.denominator) * fb, c) for e, c in other.terms]
-        if trunc is None:
-            bound_num = bound_den = None
-        else:
-            scaled = trunc * ram
-            bound_num, bound_den = scaled.numerator, scaled.denominator
+        bound_num, bound_den = _lattice_bound(trunc, ram)
         acc = {}
         for i1, c1 in a:
             for i2, c2 in b:
@@ -335,11 +336,7 @@ class PuiseuxSeries:
                 p = c1 * c2
                 acc[i] = acc[i] + p if i in acc else p
         terms = tuple((Fraction(i, ram), c) for i, c in sorted(acc.items()) if c)
-        out = object.__new__(type(self))
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "trunc", trunc)
-        object.__setattr__(out, "ram", ram)
-        return out
+        return self._canonical(terms, trunc, ram)
 
     __rmul__ = __mul__
 
@@ -520,21 +517,19 @@ class PuiseuxSeries:
 
 def _coeff_pow(c, e: Fraction):
     """e-th power of a coefficient in its ring: Fraction, float or LaurentEps."""
-    if isinstance(c, Fraction):
-        if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
-        p = rational_pow(c, e)
-        if p is None:
-            raise IrrationalLeadingRoot(f"({message_number(c)})^{e} is irrational")
-        return p
+    if isinstance(c, PuiseuxSeries):
+        return c.pow_rational(e)
+    if c < 0 and e.denominator % 2 == 0:
+        raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
     if isinstance(c, float):
-        if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
         try:
             return float_pow(c, e)
         except OverflowError:
             raise FloatOverflow(f"({message_number(c)})^{e} lies outside the float range") from None
-    return c.pow_rational(e)
+    p = rational_pow(c, e)
+    if p is None:
+        raise IrrationalLeadingRoot(f"({message_number(c)})^{e} is irrational")
+    return p
 
 
 def _binomial_sum(

@@ -34,8 +34,7 @@ def render_rat(a: Rat) -> str:
         raise DigitLimitExceeded(f"a number has more than {limit} digits to print") from None
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // math.gcd(a, b) if a and b else 0
+lcm = math.lcm
 
 
 def int_nth_root(n: int, k: int):
@@ -44,16 +43,7 @@ def int_nth_root(n: int, k: int):
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n
-    try:
-        r = round(n ** (1.0 / k))
-    except OverflowError:  # n beyond float range: bisection alone
-        r = None
-    if r is not None:
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
-    # float guess can be off for big integers; fall back to integer Newton
-    # iteration, which falls from above the root to floor(n^(1/k))
+    # integer Newton iteration: it falls from above the root to floor(n^(1/k))
     x = 1 << -(-n.bit_length() // k)
     while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
         x = y

@@ -259,6 +259,36 @@ class TestEval:
         assert code == 1 and not out
         assert err == f"error: {str(f)!r} is not an ASCII text file\n"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "@{f}", "--vars", "x", "--arc", "t"], id="map"),
+        pytest.param(["eval", "x^2", "--vars", "x", "--arc=@{f}"], id="arc-joined"),
+    ])
+    def test_at_file_path_past_ascii_is_read(self, tmp_path, argv):
+        f = tmp_path / "f\u00e9.txt"
+        f.write_text("x^2" if argv[1].startswith("@") else "t")
+        code, out, err = run([a.format(f=f) for a in argv] + ["--emit", "structured"])
+        assert code == 0 and not err
+        assert json.loads(out)["payload"]["image"] == ["t^2"]
+
+
+# int(), float() and str.isalpha read other scripts' digits and letters, and a
+# parse-error span past ASCII would count characters, not bytes
+@pytest.mark.parametrize("argv", [
+    pytest.param(["roots", "X^2 - t", "--t-order", "\u0663"], id="roots-t-order"),
+    pytest.param(["probe", "holder", "--map", "x^(1/3)", "--vars", "x", "--unit-lead",
+                  "--trials", "\u0663", "--seed", "\u0661"], id="holder-trials-seed"),
+    pytest.param(["probe", "unif", "--map", "x^2", "--vars", "x", "--box", "\u0660,\u0661",
+                  "--epsilon", "0.1", "--grid-step", "0.25"], id="unif-box"),
+    pytest.param(["eval", "\u00e9^2", "--vars", "\u00e9", "--arc", "t"], id="eval-letter"),
+    pytest.param(["eval", "x^\u0663+1", "--vars", "x", "--arc", "t"], id="eval-digit"),
+    pytest.param(["eval", "x", "--vars", "x", "--arc=t\udcff"], id="lone-surrogate"),
+])
+def test_argument_past_ascii_is_one_error_line(argv):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    first = next(a for a in argv if not a.isascii())
+    assert err == f"error: argument {ascii(first)} is not ASCII\n"
+
 
 class TestErrors:
     def test_parse_error_span(self):
@@ -389,6 +419,16 @@ HOLDER_X = ["probe", "holder", "--map", "x", "--vars", "x", "--trials", "3"]
                   "--vars", "x", "--target", "0", "--trials", "3"], id="surjective-target-0"),
     pytest.param(["probe", "transport", "--transfer-kind", "surjective", "--map", "x^2",
                   "--vars", "x", "--target=-5", "--trials", "3"], id="surjective-target-negative"),
+    # a bound that is not finite makes a pass vacuous and the JSON report invalid
+    pytest.param(UNIF + ["--box", "0,1", "--epsilon", "inf", "--grid-step", "0.25"],
+                 id="unif-epsilon-inf"),
+    pytest.param(UNIF + ["--box", "0,1", "--epsilon", "nan"], id="unif-epsilon-nan"),
+    pytest.param(UNIF + ["--box", "0,1", "--grid-step", "inf"], id="unif-grid-step-inf"),
+    pytest.param(UNIF + ["--box", "0,1", "--grid-step=-inf"], id="unif-grid-step-minus-inf"),
+    pytest.param(LOJA + ["--box=-1,1", "--tolerance", "nan", "--emit", "structured"],
+                 id="loja-tolerance-nan"),
+    pytest.param(LOJA + ["--box=-1,1", "--tolerance", "inf"], id="loja-tolerance-inf"),
+    pytest.param(LOJA + ["--box=-1,1", "--tolerance=-inf"], id="loja-tolerance-minus-inf"),
 ])
 def test_bad_probe_input_is_one_error_line(argv):
     code, out, err = run(argv)
@@ -581,7 +621,12 @@ FLAGS = [["--t-order", "3"], ["--t-order", "7/2"], ["--t-order", "0"], ["--t-ord
          ["--target", "4"], ["--target", f"1/{BIG}"], ["--unit-lead"], ["--min-ord", "1"],
          ["--min-ord", "1,2"], ["--min-ord", f"1/{BIG}"], ["--box", "0,1"], ["--box", "-1,1;0,1"],
          ["--box", "1e308,1e309"], ["--epsilon", "-1"], ["--grid-step", "0.5"],
-         ["--map", "x"], ["--phi1", "x"], ["--arc", "t"], ["--transfer-kind", "surjective"]]
+         ["--map", "x"], ["--phi1", "x"], ["--arc", "t"], ["--transfer-kind", "surjective"],
+         ["--tolerance", "inf"], ["--tolerance=-inf"], ["--tolerance", "nan"],
+         ["--epsilon", "inf"], ["--epsilon=-inf"], ["--epsilon", "nan"],
+         ["--grid-step", "inf"], ["--grid-step=-inf"], ["--grid-step", "nan"],
+         ["--trials", "\u0663"], ["--seed", "\u0661"], ["--t-order", "\u0663"],
+         ["--t-order", "\uff13"]]
 
 
 def _corrupt(text):
@@ -677,12 +722,20 @@ def _strict_json(text):
           "--grid-step", "0.25"])
 @example(["probe", "loja", "--phi1", "x", "--phi2", "x^2", "--vars", "x", "--box=-1e308,1e308",
           "--trials", "5", "--emit", "structured"])
+@example(["probe", "unif", "--map", "x^2", "--vars", "x", "--box", "0,1", "--epsilon", "inf",
+          "--grid-step", "0.25", "--emit", "structured"])
+@example(["probe", "loja", "--phi1", "x", "--phi2", "x^2", "--vars", "x", "--trials", "3",
+          "--tolerance", "nan", "--emit", "structured"])
+@example(["roots", "-t; 1", "--t-order", "\u0663"])
 def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
     cap = get_ram_cap()
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert get_ram_cap() == cap
+    if not all(a.isascii() for a in argv):  # no drawn argument is an @path
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
     if err.startswith("parse error"):
         _check_parse_error(argv, err)
     if out and "structured" in argv:

@@ -1,13 +1,22 @@
 import random
 from fractions import Fraction
+from math import nextafter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import binomial_series, poly_from_roots, series_from_ints
 
 from arcfield.errors import IrrationalBranch, TruncationExhausted
 from arcfield.newton import (
     PolyOverSeries,
+    _at,
+    _bisect_root,
+    _candidates,
+    _integer_form,
+    _isolate,
+    _poly_divmod,
+    _poly_gcd,
     np_roots,
     rc_witness_odd,
 )
@@ -301,3 +310,97 @@ class TestSqrt:
             rendered = {str(b.series.truncate(r.trunc)) for b in branches}
             assert str(r) in rendered
             assert str(-r) in rendered
+
+
+# -- root isolation against the loops it replaced ------------------------------------
+
+
+def _reference_candidates(ints, intervals):
+    """Each interval's candidate, by the halving loop written out in place."""
+    L = abs(ints[-1])
+    out = []
+    for a, b, k in intervals:
+        at_b = _at(ints, b, 1 << k)
+        cand = Fraction(b, 1 << k) if at_b == 0 else None
+        while cand is None and (b - a) * L >= 1 << k:
+            mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
+            at_mid = _at(ints, mid, 1 << k)
+            if at_mid == 0:
+                cand = Fraction(mid, 1 << k)
+            elif (at_mid > 0) == (at_b > 0):
+                b = mid
+            else:
+                a = mid
+        if cand is None:
+            n = (b * L) >> k
+            if n << k > a * L and _at(ints, n, L) == 0:
+                cand = Fraction(n, L)
+        out.append(cand)
+    return out
+
+
+def _reference_bisect_root(ints, lo, hi, k):
+    """The interval's root rounded to a float, by bisection on Fraction ends."""
+    def sign_at(x):
+        return _at(ints, x.numerator, x.denominator)
+
+    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    at_hi = sign_at(hi)
+    while at_hi and float(lo) != float(hi):
+        a, b = float(lo), float(hi)
+        if nextafter(a, b) == b:
+            mid = (Fraction(a) + Fraction(b)) / 2
+            at_mid = sign_at(mid)
+            if not at_mid:
+                return float(mid)
+            return a if (at_mid > 0) == (at_hi > 0) else b
+        mid = (lo + hi) / 2
+        at_mid = sign_at(mid)
+        if not at_mid:
+            return float(mid)
+        if (at_mid > 0) == (at_hi > 0):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+COEFF = st.integers(-10**12, 10**12)
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Products of linear factors q x - p (rational roots) and of x^m - d or
+    a x^2 + b x + c (irrational roots when d or b^2 - 4ac is not a power)."""
+    factors = [[-draw(COEFF), draw(st.integers(1, 10**12))]
+               for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0 if factors else 1, 2))):
+        if draw(st.booleans()):
+            m = draw(st.integers(2, 3))
+            factors.append([draw(st.integers(1, 10**12))] + [0] * (m - 1) + [-1])
+        else:
+            factors.append([draw(COEFF), draw(COEFF), draw(COEFF.filter(bool))])
+    p = [Fraction(1)]
+    for f in factors:
+        p = _times(p, [Fraction(c) for c in f])
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polynomials())
+def test_root_isolation_matches_the_reference_loops(p):
+    d = _poly_gcd(p, [c * k for k, c in enumerate(p)][1:])
+    part, _r = _poly_divmod(p, d)  # squarefree, with the real roots of p
+    ints = _integer_form(part)
+    intervals = _isolate(part)
+    assert _candidates(ints, intervals) == _reference_candidates(ints, intervals)
+    for iv in intervals:
+        assert _bisect_root(ints, *iv).hex() == _reference_bisect_root(ints, *iv).hex()

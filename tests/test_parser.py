@@ -149,6 +149,22 @@ def test_only_ascii_digits_are_read(parse, text, found):
     assert text[info.value.start:info.value.end] == found
 
 
+# the scanner reads ASCII only, so a span counts bytes as well as characters
+@pytest.mark.parametrize("parse, text, span", [
+    pytest.param(parse_map, "x\u00a0+ x", (1, 2), id="map-no-break-space"),
+    pytest.param(parse_series, "t\u2003+ t^2", (1, 2), id="series-em-space"),
+    pytest.param(parse_poly, "X^2\u3000- t", (3, 4), id="poly-ideographic-space"),
+    pytest.param(lambda text: parse_map(text, ("\u00e9",)), "\u00e9^2", (0, 1), id="map-letter"),
+    # the name ends before its first letter past ASCII, and 'x' is not declared
+    pytest.param(lambda text: parse_map(text, ("x\u00e9",)), "x\u00e9", (0, 1),
+                 id="map-letter-in-a-name"),
+])
+def test_only_ascii_space_and_letters_are_read(parse, text, span):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.start, info.value.end) == span
+
+
 class TestPoly:
     def test_polynomial_text(self):
         p = parse_poly("X^2 - (t + t^2)")

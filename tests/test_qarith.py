@@ -65,10 +65,14 @@ def bisection_root(n, k):
 
 def test_integer_roots_past_the_float_range_match_bisection():
     rng = random.Random(23)
-    for _ in range(100):
+    for _ in range(200):
         k = rng.randint(2, 9)
-        r = rng.getrandbits(rng.choice((40, 200, 600)))
+        r = 1 + rng.getrandbits(rng.choice((2, 8, 20, 40, 200, 600)))
         for n in (r**k, r**k + 1, r**k - 1, (r + 1) ** k - 1):
+            assert int_nth_root(n, k) == bisection_root(n, k)
+    # small radicands, in and around the range a float guess can serve
+    for k in range(2, 10):
+        for n in range(2000):
             assert int_nth_root(n, k) == bisection_root(n, k)
 
 

@@ -15,6 +15,7 @@ from arcfield.errors import (
     IrrationalLeadingRoot,
     RamificationOverflow,
 )
+from arcfield import topology
 from arcfield.mapexpr import Pow, eval_map_float, eval_map_series, map_expr, variables
 from arcfield.param_series import ParamSeries
 from arcfield.parser import parse_map
@@ -469,6 +470,21 @@ class TestTransfer:
             trials=25, seed=5, target=F(6),
         )
         assert rep.status == "pass"
+
+    def test_surjective_evaluates_the_map_once_per_attempt(self, monkeypatch):
+        # the preimage solver certifies its arc's image, so the sampled arc's
+        # push forward is the only evaluation left to the transfer loop
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eval_map_series(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "eval_map_series", counted)
+        rep = transfer_check(
+            "surjective", whitney_umbrella_map(), ArcSamplerSpec(dim=2), trials=6, seed=5,
+        )
+        assert rep.status == "pass" and len(calls) == 6
 
     def test_limit_additive(self):
         rep = transfer_check(
