@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mapexpr import MapExpr, eval_map_series, free_vars
 from .param_series import param_rows, render_param_series
-from .parser import chunk_spans, parse_map, parse_poly, parse_series
+from .parser import _Scanner, chunk_spans, parse_map, parse_poly, parse_series
 from .puiseux import render_series
 from .qarith import render_rat
 from .newton import np_roots
@@ -115,14 +115,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Flag numbers are read by the grammars' integer reader, or by float() with
+# no '_': Python's int(), float() and Fraction() take 1_0 for 10.  argparse
+# names the flag in an ArgumentTypeError.
 def _fraction(text: str) -> Fraction:
+    sc = _Scanner(text)
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not a rational: {text!r}") from exc
+        value = Fraction(sc.integer(), sc.integer() if sc.take("/") else 1)
+        if sc.at_end():
+            return value
+    except (ParseError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"not a rational: {text!r}")
+
+
+def _integer(text: str) -> int:
+    sc = _Scanner(text)
+    try:
+        value = sc.integer()
+        if sc.at_end():
+            return value
+    except ParseError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _float(text: str) -> float:
+    try:
+        if "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a float: {text!r}")
 
 
 def _expand_at(value: Optional[str]) -> Optional[str]:
@@ -138,12 +162,12 @@ def _expand_at(value: Optional[str]) -> Optional[str]:
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--t-order", default=DEFAULTS["t_order"], help="working truncation order (rational)")
-    common.add_argument("--trials", type=int, default=DEFAULTS["trials"])
-    common.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    common.add_argument("--trials", type=_integer, default=DEFAULTS["trials"])
+    common.add_argument("--seed", type=_integer, default=DEFAULTS["seed"])
     common.add_argument("--mode", choices=("exact", "numeric"), default=DEFAULTS["mode"])
     common.add_argument("--emit", choices=("text", "structured"), default="text")
-    common.add_argument("--tolerance", type=float, default=DEFAULTS["tolerance"])
-    common.add_argument("--ram-cap", type=int, default=puiseux.DEFAULT_RAM_CAP)
+    common.add_argument("--tolerance", type=_float, default=DEFAULTS["tolerance"])
+    common.add_argument("--ram-cap", type=_integer, default=puiseux.DEFAULT_RAM_CAP)
 
     top = _Parser(prog="arcfield", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
@@ -151,8 +175,8 @@ def build_parser() -> _Parser:
     sub.add_parser("counterexample", parents=[common],
                    help="push the parabola family through the stretch map")
     ce = sub.choices["counterexample"]
-    ce.add_argument("--grid-box", type=float, default=10.0)
-    ce.add_argument("--grid-step", type=float, default=0.01)
+    ce.add_argument("--grid-box", type=_float, default=10.0)
+    ce.add_argument("--grid-step", type=_float, default=0.01)
 
     pr = sub.add_parser("probe", parents=[common], help="sampled probes")
     pr.add_argument("kind", choices=("holder", "loja", "unif", "transport"))
@@ -161,8 +185,8 @@ def build_parser() -> _Parser:
     pr.add_argument("--phi1", help="loja: lower function")
     pr.add_argument("--phi2", help="loja: upper function")
     pr.add_argument("--box", default=DEFAULTS["box"], help="box as lo,hi[;lo,hi...]")
-    pr.add_argument("--epsilon", type=float, default=DEFAULTS["epsilon"])
-    pr.add_argument("--grid-step", type=float, default=DEFAULTS["grid_step"])
+    pr.add_argument("--epsilon", type=_float, default=DEFAULTS["epsilon"])
+    pr.add_argument("--grid-step", type=_float, default=DEFAULTS["grid_step"])
     pr.add_argument("--transfer-kind", choices=("injective", "surjective", "limit_additive"),
                     default=DEFAULTS["transfer_kind"])
     pr.add_argument("--min-ord", default=DEFAULTS["min_ord"],
@@ -244,8 +268,8 @@ def _parse_box(text: str, arity: int):
     out = []
     for chunk in text.split(";"):
         try:
-            lo, hi = (float(x) for x in chunk.split(","))
-        except ValueError:
+            lo, hi = (_float(x) for x in chunk.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(f"box chunk {chunk!r} is not lo,hi") from None
         if not math.isfinite(hi - lo):
             raise ConfigError(f"box chunk {chunk!r} has no finite width")
@@ -491,8 +515,8 @@ def main(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     ram_cap = puiseux.get_ram_cap()
     try:
-        # argparse's int and float read other scripts' digits; _expand_at
-        # reads the file that an @path value names as ASCII
+        # float() reads other scripts' digits; _expand_at reads the file
+        # that an @path value names as ASCII
         for arg in argv:
             value = arg.partition("=")[2] if arg.startswith("-") else arg
             if not arg.isascii() and not value.startswith("@"):

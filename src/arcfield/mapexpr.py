@@ -7,10 +7,11 @@ component expressions of a vector map with its input variable names.
 Evaluation targets:
 
 * floats (grids and numeric probes), with division and even-root guards;
+* float tangents (forward mode): a value and one partial derivative at a
+  float point, under the same guards;
 * series rings (PuiseuxSeries or its ParamSeries subclass), where guards
   are decided by leading-sign analysis (``is_lead_positive``): a series is
-  positive near 0+ exactly when its leading coefficient is positive;
-* symbolic differentiation, producing new expression trees.
+  positive near 0+ exactly when its leading coefficient is positive.
 """
 
 from __future__ import annotations
@@ -185,19 +186,57 @@ def eval_float(expr: Expr, point) -> float:
         return eval_float(expr.left, point) * eval_float(expr.right, point)
     if isinstance(expr, Div):
         den = eval_float(expr.right, point)
-        if den == 0.0:
-            raise GuardViolation("division by zero at sample point")
-        return eval_float(expr.left, point) / den
+        return _quotient(eval_float(expr.left, point), den)
     if isinstance(expr, Neg):
         return -eval_float(expr.arg, point)
     if isinstance(expr, Pow):
-        base = eval_float(expr.base, point)
+        return _power(eval_float(expr.base, point), expr.exponent)
+    raise TypeError(f"unknown node {type(expr).__name__}")
+
+
+def _quotient(num: float, den: float) -> float:
+    if den == 0.0:
+        raise GuardViolation("division by zero at sample point")
+    return num / den
+
+
+def _power(base: float, e: Fraction) -> float:
+    if base == 0.0 and e < 0:
+        raise GuardViolation("zero base with negative exponent")
+    if base < 0.0 and e.denominator % 2 == 0:
+        raise GuardViolation("even root of a negative value")
+    return float_pow(base, e)
+
+
+def eval_tangent(expr: Expr, point, var: int) -> tuple:
+    """(value, partial derivative in x_var) at a float point, in forward mode.
+
+    Guards are ``eval_float``'s, met in its order; a quotient's derivative
+    divides by the denominator squared and a power's raises the base to e - 1.
+    """
+    if isinstance(expr, Var):
+        return float(point[expr.index]), float(expr.index == var)
+    if isinstance(expr, Const):
+        return float(expr.value), 0.0
+    if isinstance(expr, Neg):
+        a, da = eval_tangent(expr.arg, point, var)
+        return -a, -da
+    if isinstance(expr, Pow):
+        b, db = eval_tangent(expr.base, point, var)
         e = expr.exponent
-        if base == 0.0 and e < 0:
-            raise GuardViolation("zero base with negative exponent")
-        if base < 0.0 and e.denominator % 2 == 0:
-            raise GuardViolation("even root of a negative value")
-        return float_pow(base, e)
+        return _power(b, e), float(e) * _power(b, e - 1) * db
+    if isinstance(expr, Div):
+        b, db = eval_tangent(expr.right, point, var)
+        a, da = eval_tangent(expr.left, point, var)
+        return _quotient(a, b), _quotient(da * b - a * db, b * b)
+    if isinstance(expr, (Add, Sub, Mul)):
+        a, da = eval_tangent(expr.left, point, var)
+        b, db = eval_tangent(expr.right, point, var)
+        if isinstance(expr, Add):
+            return a + b, da + db
+        if isinstance(expr, Sub):
+            return a - b, da - db
+        return a * b, da * b + a * db
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 
@@ -255,7 +294,7 @@ def eval_series(expr: Expr, comps, order=None, rel=None):
             try:
                 eval_series(expr.right, comps, order, rel)
             except IrrationalLeadingRoot:
-                return left
+                pass
             return left
         return left * eval_series(expr.right, comps, order, rel)
     if isinstance(expr, Div):
@@ -287,106 +326,6 @@ def eval_map_series(m: MapExpr, comps, order=None, rel=None) -> tuple:
     if len(comps) != m.arity:
         raise ValueError("arc dimension does not match map arity")
     return tuple(eval_series(e, comps, order, rel) for e in m.exprs)
-
-
-# -- symbolic differentiation -------------------------------------------------
-
-
-def diff(expr: Expr, var: int) -> Expr:
-    """Partial derivative as a new tree, lightly simplified."""
-    if isinstance(expr, Var):
-        return Const(Fraction(1 if expr.index == var else 0))
-    if isinstance(expr, Const):
-        return Const(Fraction(0))
-    if isinstance(expr, Add):
-        return _add(diff(expr.left, var), diff(expr.right, var))
-    if isinstance(expr, Sub):
-        return _sub(diff(expr.left, var), diff(expr.right, var))
-    if isinstance(expr, Mul):
-        return _add(
-            _mul(diff(expr.left, var), expr.right),
-            _mul(expr.left, diff(expr.right, var)),
-        )
-    if isinstance(expr, Div):
-        num = _sub(
-            _mul(diff(expr.left, var), expr.right),
-            _mul(expr.left, diff(expr.right, var)),
-        )
-        return Div(num, _mul(expr.right, expr.right))
-    if isinstance(expr, Neg):
-        return _neg(diff(expr.arg, var))
-    if isinstance(expr, Pow):
-        e = expr.exponent
-        inner = diff(expr.base, var)
-        scaled = _mul(Const(e), Pow(expr.base, e - 1))
-        return _mul(scaled, inner)
-    raise TypeError(f"unknown node {type(expr).__name__}")
-
-
-def _is_const(expr: Expr, value=None) -> bool:
-    return isinstance(expr, Const) and (value is None or expr.value == value)
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return Const(Fraction(0))
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
-def _neg(a: Expr) -> Expr:
-    if _is_const(a):
-        return Const(-a.value)
-    return Neg(a)
-
-
-def jacobian(m: MapExpr) -> tuple:
-    """Matrix of partial derivatives (rows: outputs, cols: inputs)."""
-    return tuple(tuple(diff(e, j) for j in range(m.arity)) for e in m.exprs)
-
-
-def jacobian_det_at(m: MapExpr, point) -> float:
-    """Determinant of the Jacobian at a float point (square maps, n <= 3)."""
-    if m.out_dim != m.arity:
-        raise ValueError("Jacobian determinant needs a square map")
-    rows = [[eval_float(d, point) for d in row] for row in jacobian(m)]
-    return _det(rows)
-
-
-def _det(rows) -> float:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0.0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1.0) ** j * rows[0][j] * _det(minor)
-    return total
 
 
 # -- rendering ----------------------------------------------------------------

@@ -37,8 +37,8 @@ from .mapexpr import (
     Pow,
     Var,
     eval_map_series,
+    eval_tangent,
     free_vars,
-    jacobian_det_at,
     map_expr,
     variables,
 )
@@ -300,15 +300,31 @@ def monotone_bound_check(box: float = 10.0, step: float = 0.01) -> float:
 
 
 def jacobian_check(m: MapExpr, points: Sequence) -> float:
-    """Minimum |det J| of a square map over sample points (symbolic J)."""
+    """Minimum |det J| of a square map over float sample points (forward-mode J)."""
+    if m.out_dim != m.arity:
+        raise ValueError("Jacobian determinant needs a square map")
     best = None
     for p in points:
-        d = abs(jacobian_det_at(m, p))
+        rows = [[eval_tangent(e, p, j)[1] for j in range(m.arity)] for e in m.exprs]
+        d = abs(_det(rows))
         if best is None or d < best:
             best = d
     if best is None:
         raise ValueError("no sample points supplied")
     return best
+
+
+def _det(rows) -> float:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = 0.0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1.0) ** j * rows[0][j] * _det(minor)
+    return total
 
 
 # -- preimage arcs ----------------------------------------------------------------

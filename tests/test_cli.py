@@ -2,11 +2,14 @@ import io
 import json
 import re
 import sys
+from argparse import ArgumentTypeError
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arcfield.cli import main
+from arcfield.cli import _float, _fraction, _integer, main
+from arcfield.errors import ConfigError
 from arcfield.puiseux import get_ram_cap
 
 
@@ -226,6 +229,20 @@ class TestEval:
         assert code == 1
         assert "root" in err.lower()
 
+    # sqrt(2 t) has the irrational lead sqrt(2): an exactly zero factor on
+    # either side still gives the image 0, and any other factor raises
+    @pytest.mark.parametrize("map_text", ["x^(1/2)*0", "0*x^(1/2)", "x^(1/2)*(x - x)"])
+    def test_zero_factor_annuls_an_irrational_lead(self, map_text):
+        code, out, err = run(["eval", map_text, "--vars", "x", "--arc", "2*t",
+                              "--emit", "structured"])
+        assert code == 0 and not err
+        assert json.loads(out)["payload"]["image"] == ["0"]
+
+    def test_nonzero_factor_keeps_the_irrational_lead(self):
+        code, out, err = run(["eval", "x^(1/2)*x", "--vars", "x", "--arc", "2*t"])
+        assert code == 1 and not out
+        assert err == "error: (2)^1/2 is irrational\n"
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["eval", "(x,y)", "--vars", "x,y", "--arc", "t"],
                      "arc has 1 component, the map takes 2", id="too-few"),
@@ -288,6 +305,57 @@ def test_argument_past_ascii_is_one_error_line(argv):
     assert code == 1 and not out
     first = next(a for a in argv if not a.isascii())
     assert err == f"error: argument {ascii(first)} is not ASCII\n"
+
+
+# Python's int(), float() and Fraction() read 1_0 as 10; no grammar does
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["roots", "X^2 - t", "--t-order", "1_0"], "not a rational: '1_0'",
+                 id="roots-t-order"),
+    pytest.param(["probe", "holder", "--map", "x^(1/3)", "--vars", "x", "--unit-lead",
+                  "--trials", "1_0", "--seed", "1"], "argument --trials: not an integer: '1_0'",
+                 id="holder-trials"),
+    pytest.param(["counterexample", "--t-order", "8", "--grid-step", "0.0_5", "--grid-box", "1_0"],
+                 "argument --grid-step: not a float: '0.0_5'", id="counterexample-grid"),
+    pytest.param(["probe", "unif", "--map", "x^2", "--vars", "x", "--box", " 0 , 1_0 ",
+                  "--epsilon", "0.1", "--grid-step", "2.5"],
+                 "box chunk ' 0 , 1_0 ' is not lo,hi", id="unif-box"),
+])
+def test_underscore_in_a_flag_number_is_one_error_line(argv, message):
+    code, out, err = run(argv)
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
+# the grammars' integer reader also skips the ASCII separators 0x1c-0x1f as
+# space, which int() refuses; float() still reads the float flags
+_SEPARATORS = str.maketrans("\x1c\x1d\x1e\x1f", "    ")
+
+
+def _python_fraction(text):
+    text = text.translate(_SEPARATORS)
+    if "/" in text:
+        num, den = text.split("/", 1)
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
+
+
+def _python_int(text):
+    return int(text.translate(_SEPARATORS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-/_.e \t\x1f", max_size=8))
+def test_flag_numbers_read_as_python_reads_them_without_underscores(text):
+    for reader, python in ((_fraction, _python_fraction), (_integer, _python_int), (_float, float)):
+        try:
+            want = None if "_" in text else python(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        try:
+            got = reader(text)
+        except (ConfigError, ArgumentTypeError):
+            got = None
+        assert got == want or got != got and want != want, (reader, text)
 
 
 class TestErrors:

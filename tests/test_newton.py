@@ -140,6 +140,15 @@ class TestRoots:
         with pytest.raises(TruncationExhausted):
             np_roots(p, 2)
 
+    def test_unknown_constant_on_the_first_edge_extension(self):
+        # Y^2 + t Y + O(t^2): the edge from (1, 1) to (2, 0) extends to
+        # (0, 2), so a constant term at t^2 would join its equation.  The
+        # completions disagree: t^2 leaves no real branch, 0 gives 0 and -t.
+        assert np_roots(poly(t * t, t, one), 1) == []
+        assert len(np_roots(poly(zero, t, one), 1)) == 2
+        with pytest.raises(TruncationExhausted):
+            np_roots(poly(PuiseuxSeries.unknown(2), t, one), 1)
+
     def test_truncated_linear_coefficient_ok(self):
         g = t + t * t + PuiseuxSeries.unknown(8)
         branches = np_roots(poly(-g, one), 6)
