@@ -8,11 +8,15 @@ fixed command line is byte-reproducible.  Exit codes: 0 pass, 1 error,
 
 Any argument value of the form ``@path`` is replaced by the contents of
 that file.
+
+``main`` builds its argument parser once per process, on its first call, and
+every later call parses with the same one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -159,6 +163,12 @@ def _expand_at(value: Optional[str]) -> Optional[str]:
     return value
 
 
+# Built once and shared by every main() call.  Parsing leaves the parser as
+# it found it: no default is mutable (each is a str, int, float, None or
+# False, and no action appends), nothing adds arguments or defaults after
+# this function returns, and _Parser.error, which the subparsers inherit,
+# raises ConfigError rather than recording anything.
+@functools.cache
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--t-order", default=DEFAULTS["t_order"], help="working truncation order (rational)")

@@ -100,6 +100,10 @@ class GuardViolation(ArcFieldError):
     """A division or even-root guard failed during map evaluation."""
 
 
+class NegativeLeadUnderEvenRoot(GuardViolation):
+    """An even root of a series whose known leading coefficient is negative."""
+
+
 class DegenerateData(ArcFieldError):
     """A fit received no usable samples."""
 

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import FloatOverflow, GuardViolation, IrrationalLeadingRoot
+from .errors import (
+    FloatOverflow,
+    GuardViolation,
+    IrrationalLeadingRoot,
+    NegativeLeadUnderEvenRoot,
+)
 from .qarith import float_pow, render_rat
 
 
@@ -309,7 +314,13 @@ def eval_series(expr: Expr, comps, order=None, rel=None):
         base = eval_series(expr.base, comps, order, rel)
         e = expr.exponent
         if e.denominator % 2 == 0 and not base.is_lead_positive():
-            raise GuardViolation("even root of a series not positive near 0+")
+            # a known lead is negative at every order, an unknown one may not be
+            cls = NegativeLeadUnderEvenRoot if base.terms else GuardViolation
+            raise cls("even root of a series not positive near 0+")
+        if base.is_zero() and e <= 0:
+            if e < 0:
+                raise GuardViolation("zero base with negative exponent")
+            return ring.constant(1)
         return base.pow_rational(e, order=_relative_cap(base, e, order, rel))
     raise TypeError(f"unknown node {type(expr).__name__}")
 

@@ -46,6 +46,7 @@ from .errors import (
     GuardViolation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
+    NegativeLeadUnderEvenRoot,
     RamificationOverflow,
 )
 from .mapexpr import MapExpr, eval_map_float, eval_map_series
@@ -223,7 +224,9 @@ def sample_pair(rng: random.Random, spec: ArcSamplerSpec) -> tuple:
 # -- image distance by a precision ladder -----------------------------------------
 
 # errors raised only from a known leading coefficient, hence at every order
-_FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
+_FINAL_ERRORS = (
+    IrrationalLeadingRoot, NegativeBaseForEvenRoot, NegativeLeadUnderEvenRoot,
+)
 
 
 def _image_ord_dist(h: MapExpr, gamma, delta, order):

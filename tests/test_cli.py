@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from arcfield import cli
 from arcfield.cli import _float, _fraction, _integer, main
 from arcfield.errors import ConfigError
 from arcfield.puiseux import get_ram_cap
@@ -242,6 +244,22 @@ class TestEval:
         code, out, err = run(["eval", "x^(1/2)*x", "--vars", "x", "--arc", "2*t"])
         assert code == 1 and not out
         assert err == "error: (2)^1/2 is irrational\n"
+
+    # an exactly zero base: a negative power is a guard, as at a float
+    # point, and the zero power is 1, as 0.0 ** 0 is
+    @pytest.mark.parametrize("map_text, arc", [
+        pytest.param("x^-1", "0", id="zero-arc"),
+        pytest.param("(x - x)^-2", "t", id="zero-difference"),
+    ])
+    def test_zero_base_under_a_negative_power_is_a_guard(self, map_text, arc):
+        code, out, err = run(["eval", map_text, "--vars", "x", "--arc", arc])
+        assert code == 1 and not out
+        assert err == "error: zero base with negative exponent\n"
+
+    def test_zero_base_under_the_zero_power_is_one(self):
+        code, out, err = run(["eval", "x^0", "--vars", "x", "--arc", "0", "--emit", "structured"])
+        assert code == 0 and not err
+        assert json.loads(out)["payload"]["image"] == ["1"]
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["eval", "(x,y)", "--vars", "x,y", "--arc", "t"],
@@ -795,6 +813,9 @@ def _strict_json(text):
 @example(["probe", "loja", "--phi1", "x", "--phi2", "x^2", "--vars", "x", "--trials", "3",
           "--tolerance", "nan", "--emit", "structured"])
 @example(["roots", "-t; 1", "--t-order", "\u0663"])
+@example(["eval", "x^-1", "--vars", "x", "--arc", "0"])
+@example(["eval", "x^0", "--vars", "x", "--arc", "0"])
+@example(["eval", "(x - x)^-2", "--vars", "x", "--arc", "t"])
 def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
     cap = get_ram_cap()
     code, out, err = run(argv)
@@ -808,3 +829,60 @@ def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
         _check_parse_error(argv, err)
     if out and "structured" in argv:
         _strict_json(out)
+
+
+# -- one parser per process --------------------------------------------------------
+#
+# main() parses every argv with the parser that build_parser() made on its first
+# call.  One op of each run and each refusal path, run in any order, must
+# report what a parser built for that argv alone reports.
+
+HISTORY_ARGVS = [
+    ["counterexample", "--t-order", "3", "--grid-step", "0.5"],
+    ["roots", "X^2 - t", "--emit", "structured"],
+    ["eval", "(u, u*v)", "--vars", "u,v", "--arc", "t; t^2"],
+    ["probe", "holder", "--map", "x^(1/3)", "--vars", "x", "--trials", "3", "--seed", "2"],
+    ["probe", "loja", "--phi1", "x", "--phi2", "x^2", "--vars", "x", "--trials", "8"],
+    ["probe", "unif", "--map", "x^2", "--vars", "x", "--box", "0,1", "--grid-step", "0.25"],
+    ["probe", "transport", "--map", "x^3", "--vars", "x", "--trials", "2"],
+    ["probe", "transport", "--transfer-kind", "surjective", "--map", "x^3", "--vars", "x",
+     "--trials", "2", "--target", "3", "--emit", "structured"],
+    ["probe", "transport", "--transfer-kind", "limit_additive", "--trials", "2"],
+    ["roots", "X^2 - t", "--t-order", "zero"],  # bad flag value, read by _fraction
+    ["roots", "X^2 - t", "--trials", "x"],  # bad flag value, refused by argparse
+    ["roots", "X^2 - t", "--mode", "bogus"],
+    ["eval", "x", "--vars", "x"],  # a required flag is missing
+    ["roots", "X^2 -"],  # parse error
+    ["roots", "X^2 - t", "--trials", "3"],  # unread flag
+    ["roots", "X^2 - t", "--t-order", "\u0663"],  # non-ASCII argument
+    ["bogus"],  # unknown subcommand
+]
+
+
+def test_shared_parser_reports_do_not_depend_on_history(monkeypatch):
+    first = {tuple(a): run(a) for a in HISTORY_ARGVS}
+    assert {code for code, _out, _err in first.values()} == {0, 1, 2}
+    # in order, reversed, and interleaved: first, last, second, second to last, ...
+    interleaved = [a for pair in zip(HISTORY_ARGVS, HISTORY_ARGVS[::-1]) for a in pair]
+    for order in (HISTORY_ARGVS, HISTORY_ARGVS[::-1], interleaved[:len(HISTORY_ARGVS)]):
+        assert [run(a) for a in order] == [first[tuple(a)] for a in order]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(a) for a in HISTORY_ARGVS] == [first[tuple(a)] for a in HISTORY_ARGVS]
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    counts = []
+    for argv in (["roots", "X^2 - t"], ["eval", "x", "--vars", "x", "--arc", "t"], ["bogus"]):
+        before = len(built)
+        run(argv)
+        counts.append(len(built) - before)
+    assert counts == [6, 0, 0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcfield.errors import GuardViolation, ZeroUpToTruncationError
+from arcfield.errors import GuardViolation, NegativeLeadUnderEvenRoot, ZeroUpToTruncationError
 from arcfield.mapexpr import (
     Add,
     Const,
@@ -58,8 +58,23 @@ def test_eval_series_matches_float():
 
 def test_series_even_root_guard():
     x, = variables("x")
-    with pytest.raises(GuardViolation):
+    with pytest.raises(NegativeLeadUnderEvenRoot):
         eval_series(Pow(x, F(1, 2)), (-t,), order=4)
+    # a lead unknown below the truncation may still turn out positive
+    with pytest.raises(GuardViolation) as unknown:
+        eval_series(Pow(x, F(1, 2)), (PuiseuxSeries((), trunc=F(1)),), order=4)
+    assert type(unknown.value) is GuardViolation
+
+
+def test_series_zero_base_matches_the_float_guard():
+    x, = variables("x")
+    zero = PuiseuxSeries.zero()
+    with pytest.raises(GuardViolation, match="zero base with negative exponent"):
+        eval_series(Pow(x, F(-1)), (zero,), order=4)
+    with pytest.raises(GuardViolation, match="zero base with negative exponent"):
+        eval_float(Pow(x, F(-1)), (0.0,))
+    assert eval_series(Pow(x, F(0)), (zero,), order=4) == PuiseuxSeries.constant(1)
+    assert eval_float(Pow(x, F(0)), (0.0,)) == 1.0
 
 
 def test_diff_against_finite_differences():
@@ -102,14 +117,14 @@ def test_tangent_matches_the_exact_series_derivative(expr, point, var):
 
     Integer powers keep the exact ring free of irrational roots.  Where the
     exact path refuses (a zero denominator or a zero base under a negative
-    power), the tangent must refuse too; where only the tangent refuses, the
-    value itself is undefined.
+    power, both guards), the tangent must refuse too; where only the tangent
+    refuses, the value itself is undefined.
     """
     comps = tuple(PuiseuxSeries.constant(c) + (t if i == var else 0) for i, c in enumerate(point))
     fpoint = tuple(map(float, point))
     try:
         image = eval_series(expr, comps, order=2)
-    except (GuardViolation, ZeroDivisionError):
+    except GuardViolation:
         with pytest.raises(GuardViolation):
             eval_tangent(expr, fpoint, var)
         return

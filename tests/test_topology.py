@@ -13,6 +13,7 @@ from arcfield.errors import (
     DegenerateData,
     GuardViolation,
     IrrationalLeadingRoot,
+    NegativeLeadUnderEvenRoot,
     RamificationOverflow,
 )
 from arcfield import topology
@@ -660,6 +661,23 @@ class TestImageLadder:
             eval_map_series(h, gamma, order=ORDER / 8)
         assert _image_ord_dist(h, gamma, delta, ORDER) == 1
         assert full_order_dist(h, gamma, delta, ORDER) == 1
+
+    def test_known_negative_lead_under_an_even_root_is_final(self, monkeypatch):
+        h = parse_map("(x - x^2)^(1/2)", ("x",))
+        gamma, delta = (-t,), (t,)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["rel"])
+            return eval_map_series(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "eval_map_series", counted)
+        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        assert calls == [ORDER / 8]
+        assert full_order_dist(h, gamma, delta, ORDER) is None
+        for rung in (ORDER / 8, None):
+            with pytest.raises(NegativeLeadUnderEvenRoot):
+                eval_map_series(h, gamma, order=ORDER, rel=rung)
 
     def test_odd_root_of_an_unknown_lead_is_not_final(self):
         h, _spec = CHEAP_MAPS["unknown-lead-cbrt"]
