@@ -47,10 +47,6 @@ class RamificationOverflow(ArcFieldError):
         super().__init__(f"ramification {message_number(ram)} exceeds cap {message_number(cap)}")
 
 
-class NegativeBaseForEvenRoot(ArcFieldError):
-    """Even-denominator rational power of a series that is negative near 0+."""
-
-
 class IrrationalLeadingRoot(ArcFieldError):
     """Exact mode cannot represent the required root of a leading coefficient."""
 
@@ -97,11 +93,14 @@ class ZeroArc(ArcFieldError):
 
 
 class GuardViolation(ArcFieldError):
-    """A division or even-root guard failed during map evaluation."""
+    """A division or even-root guard failed: at a float point during map
+    evaluation, or in the series kernel's powers (a zero base under a
+    negative exponent, an even root of a negative lead)."""
 
 
-class NegativeLeadUnderEvenRoot(GuardViolation):
-    """An even root of a series whose known leading coefficient is negative."""
+class NegativeBaseForEvenRoot(GuardViolation):
+    """Even-denominator rational power of a series whose known leading
+    coefficient is negative, so that it is negative near 0+."""
 
 
 class DegenerateData(ArcFieldError):

@@ -9,9 +9,10 @@ Evaluation targets:
 * floats (grids and numeric probes), with division and even-root guards;
 * float tangents (forward mode): a value and one partial derivative at a
   float point, under the same guards;
-* series rings (PuiseuxSeries or its ParamSeries subclass), where guards
-  are decided by leading-sign analysis (``is_lead_positive``): a series is
-  positive near 0+ exactly when its leading coefficient is positive.
+* series rings (PuiseuxSeries or its ParamSeries subclass), where every
+  power and quotient is the kernel's ``pow_rational``, which alone decides
+  the guards: a zero base under a negative power, an unknown or negative
+  lead under an even root, a lead with no exact root.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import (
-    FloatOverflow,
-    GuardViolation,
-    IrrationalLeadingRoot,
-    NegativeLeadUnderEvenRoot,
-)
+from .errors import FloatOverflow, GuardViolation, IrrationalLeadingRoot
 from .qarith import float_pow, render_rat
 
 
@@ -262,8 +258,9 @@ def eval_series(expr: Expr, comps, order=None, rel=None):
     """Evaluate on series components (PuiseuxSeries or ParamSeries alike).
 
     ``order`` caps truncations wherever an inverse or a fractional power
-    opens an infinite expansion.  Guards: denominators need a decidable
-    leading term; even-denominator powers need a positive leading sign.
+    opens an infinite expansion.  Guards are the kernel's: a quotient is a
+    product with the denominator's ``inv`` and a power is ``pow_rational``,
+    which refuse what has no power.
 
     With ``rel`` given, each such expansion also stops ``rel`` past its own
     lead: a power of a base with lead t^v is capped at min(order, e v + rel)
@@ -304,8 +301,6 @@ def eval_series(expr: Expr, comps, order=None, rel=None):
         return left * eval_series(expr.right, comps, order, rel)
     if isinstance(expr, Div):
         den = eval_series(expr.right, comps, order, rel)
-        if den.is_zero():
-            raise GuardViolation("division by the zero series")
         inv = den.inv(order=_relative_cap(den, Fraction(-1), order, rel))
         return eval_series(expr.left, comps, order, rel) * inv
     if isinstance(expr, Neg):
@@ -313,14 +308,6 @@ def eval_series(expr: Expr, comps, order=None, rel=None):
     if isinstance(expr, Pow):
         base = eval_series(expr.base, comps, order, rel)
         e = expr.exponent
-        if e.denominator % 2 == 0 and not base.is_lead_positive():
-            # a known lead is negative at every order, an unknown one may not be
-            cls = NegativeLeadUnderEvenRoot if base.terms else GuardViolation
-            raise cls("even root of a series not positive near 0+")
-        if base.is_zero() and e <= 0:
-            if e < 0:
-                raise GuardViolation("zero base with negative exponent")
-            return ring.constant(1)
         return base.pow_rational(e, order=_relative_cap(base, e, order, rel))
     raise TypeError(f"unknown node {type(expr).__name__}")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import IrrationalLeadingRoot, message_number
+from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot, message_number
 from .puiseux import PuiseuxSeries, _binomial_lattice, _render_exp
 from .qarith import Exp, Rat, lcm, render_rat
 
@@ -46,9 +46,6 @@ class LaurentEps(PuiseuxSeries):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def as_integer_ratio(self):
         """The integer row ((k, a), ...) and the denominator d with
         self = row / d, d the lcm of the coefficients' denominators."""
@@ -67,9 +64,14 @@ class LaurentEps(PuiseuxSeries):
     def pow_rational(self, e, order=None) -> LaurentEps:
         """The kernel's power, where it stays a Laurent polynomial: any
         nonnegative integer power, and any other power of a monomial
-        c e^k whose parameter exponent k e is an integer."""
+        c e^k whose parameter exponent k e is an integer.  An even root of
+        a negative lead is refused before the monomial rule, as it is for
+        a monomial."""
         e = Fraction(e)
         if len(self.terms) != 1:
+            # the lowest parameter power decides the sign as e -> 0+
+            if e.denominator % 2 == 0 and self.terms and self.terms[0][1] < 0:
+                raise NegativeBaseForEvenRoot(f"even root of a negative lead: ({self})^{e}")
             if e.denominator != 1 or e < 0:
                 raise IrrationalLeadingRoot("leading coefficient is not a parameter monomial")
         elif (self.terms[0][0] * e).denominator != 1:
@@ -134,13 +136,6 @@ class ParamSeries(PuiseuxSeries):
 
     def __str__(self):
         return render_param_series(self)
-
-    def is_lead_positive(self) -> bool:
-        """Positive for small t > 0 and small parameter > 0."""
-        if not self.terms:
-            return False
-        c = self.terms[0][1]
-        return c.terms[0][1] > 0 if c.is_monomial() else False
 
     # -- parameter behaviour --------------------------------------------------
 

@@ -35,7 +35,12 @@ on integers in every ring: with e = p/q and u = sum a_j/d_j t^(j/ram),
 H[n] = h[n] (q^2 M)^n is an integer whenever d_j | M^j, so each lattice step
 is integer arithmetic, and ``param_series`` runs the same steps on Laurent
 rows.  A float is an exact binary rational, so float coefficients take the
-exact path too, and each output coefficient is rounded once.
+exact path too: ``pow_rational`` expands the floats' exact values and rounds
+each output coefficient once, the only rounding of a float power besides
+the float power of the lead.  ``pow_rational`` is also the one place that
+decides whether a power exists: a zero base, an unknown lead, a negative
+lead under an even root and an irrational lead are refused there, for the
+map evaluator and every other caller alike.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from typing import Optional, Union
 
 from .errors import (
     FloatOverflow,
+    GuardViolation,
     IndistinguishableAtTruncation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
@@ -371,10 +377,15 @@ class PuiseuxSeries:
     def pow_rational(self, e, order=None) -> PuiseuxSeries:
         """Raise to a rational power via the binomial series, in every ring.
 
-        The leading coefficient c must admit the e-th power in the ring: an
-        exact rational power for a Fraction, a parameter monomial for a
-        ``LaurentEps`` (except for a nonnegative integer e), and a positive
-        base under an even root.  ``order`` caps the absolute truncation of
+        This is the one place that decides whether a power exists.  An
+        exactly zero base gives 0 for e > 0 and 1 for e = 0, and under a
+        negative e raises GuardViolation.  A lead unknown below the
+        truncation has a positive integer power O(t^(e T)) and no other
+        (ZeroUpToTruncationError).  Otherwise the leading coefficient c must
+        admit the e-th power in the ring: an exact rational power for a
+        Fraction, a parameter monomial for a ``LaurentEps`` (except for a
+        nonnegative integer e), and a positive base under an even root
+        (NegativeBaseForEvenRoot).  ``order`` caps the absolute truncation of
         the result and is mandatory whenever the expansion does not
         terminate and no truncation is inherited from the operand.
 
@@ -384,14 +395,17 @@ class PuiseuxSeries:
         which reduces ``ram`` to the denominator of its one exponent, where a
         product would keep the operand's.  Every other power writes
         self = c t^v (1 + u) and hands u, the power of c and t^(e v) to the
-        class's binomial expansion (``_binomial``).
+        class's binomial expansion (``_binomial``).  When any coefficient is
+        a float, u and the lead's power enter ``_binomial_sum`` as the exact
+        binary rationals that the floats are, and it rounds each output
+        coefficient once, by the true division that this method passes.
         """
         e = Fraction(e)
         if not self.terms:
-            if self.is_zero():
-                if e > 0:
-                    return self.zero()
-                raise ZeroDivisionError("zero series with nonpositive exponent")
+            if self.trunc is None:
+                if e < 0:
+                    raise GuardViolation("zero base with negative exponent")
+                return self.one() if e == 0 else self.zero()
             if e.denominator == 1 and e > 0:
                 # ord(f^n) = n ord(f) >= n trunc, and a known lead of f has
                 # an exact n-th power.  A root is not decided: its leading
@@ -423,14 +437,30 @@ class PuiseuxSeries:
             raise UnboundedExpansion(
                 "rational power of an exact non-monomial series needs an order"
             )
-        recip = 1 / c
-        # a float product can underflow to 0.0, so zeros are still dropped
+        terms = self.terms
+        floats = any(type(k) is float for _x, k in terms)
+        if floats:
+            try:
+                terms = [(x, Fraction(k)) for x, k in terms]
+                lead_pow = Fraction(lead_pow)
+            except (OverflowError, ValueError):
+                # only an infinite or NaN float refuses to be a Fraction
+                message = "a coefficient of a binomial expansion is not finite"
+                raise FloatOverflow(message) from None
+        recip = 1 / terms[0][1]
         u = self._canonical(
-            tuple((x - v, p) for x, k in self.terms[1:] if (p := k * recip)),
+            tuple((x - v, k * recip) for x, k in terms[1:]),
             None if self.trunc is None else self.trunc - v,
             self.ram,
         )
-        return self._binomial(u, e, rel, lead_pow, head_exp)
+        if not floats:
+            return self._binomial(u, e, rel, lead_pow, head_exp)
+        try:
+            # int / int is correctly rounded, and 0.0, which is dropped, when
+            # it underflows (or when the lead's float power did)
+            return _binomial_sum(u, e, rel, lead_pow, head_exp, operator.truediv)
+        except OverflowError:
+            raise FloatOverflow("a binomial coefficient lies outside the float range") from None
 
     @staticmethod
     def _binomial(u, e, rel, lead, shift) -> PuiseuxSeries:
@@ -448,7 +478,7 @@ class PuiseuxSeries:
         """
         if inner.is_zero():
             if any(e < 0 for e, _ in self.terms):
-                raise ZeroDivisionError("pole at 0")
+                raise GuardViolation("zero base with negative exponent")
             if self.trunc is not None and self.trunc <= 0:
                 raise ZeroUpToTruncationError(self.trunc, "constant term unknown")
             return self.constant(self.coeff(0))
@@ -491,10 +521,6 @@ class PuiseuxSeries:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
-    def is_lead_positive(self) -> bool:
-        """Positive for small t > 0: the known lead coefficient is positive."""
-        return bool(self.terms) and self.terms[0][1] > 0
-
     def limit0(self):
         """Limit at t -> 0+: the constant coefficient, or DIVERGES.
 
@@ -520,7 +546,7 @@ def _coeff_pow(c, e: Fraction):
     if isinstance(c, PuiseuxSeries):
         return c.pow_rational(e)
     if c < 0 and e.denominator % 2 == 0:
-        raise NegativeBaseForEvenRoot(f"({message_number(c)})^{e}")
+        raise NegativeBaseForEvenRoot(f"even root of a negative lead: ({message_number(c)})^{e}")
     if isinstance(c, float):
         try:
             return float_pow(c, e)
@@ -533,7 +559,7 @@ def _coeff_pow(c, e: Fraction):
 
 
 def _binomial_sum(
-    u: PuiseuxSeries, e: Fraction, rel: Exp, lead=None, shift=None
+    u: PuiseuxSeries, e: Fraction, rel: Exp, lead=None, shift=None, quotient=Fraction
 ) -> PuiseuxSeries:
     """``lead * t^shift * (1 + u)^e``, truncated at the relative order ``rel``.
 
@@ -544,24 +570,17 @@ def _binomial_sum(
 
         n H[n] = sum_j ((p + q) j - q n) w_j H[n - j],
 
-    with an exact division by n.  A float is an exact binary rational, so
-    float coefficients run the same recurrence on their exact values.  Each
-    output coefficient, lead H[n] / (q^2 M)^n, is built once: a Fraction,
-    or for a float lead the correctly rounded quotient, which is dropped
-    when it underflows to 0.0.  A float beyond range, or a coefficient that
-    is not finite, raises FloatOverflow.
+    with an exact division by n.  The recurrence is exact in every ring:
+    ``pow_rational`` hands float coefficients in as their exact values.
+    Each output coefficient, lead H[n] / (q^2 M)^n, is built once from its
+    integer numerator and denominator by ``quotient``: a Fraction, or the
+    correctly rounded true division that ``pow_rational`` passes for a
+    float ring, which is dropped when it underflows to 0.0.
     """
-    # an exact lead such as the 1 of (1 + x)^(1/2) can head a float u
-    floats = isinstance(lead, float) or (u.terms and isinstance(u.terms[0][1], float))
-    quotient = operator.truediv if floats else Fraction
     if lead is None:
         lead, shift = 1, Fraction(0)
-    try:
-        weights, scale, exps, out_ram, h = _binomial_lattice(u, e, rel, shift)
-        num, den = lead.as_integer_ratio()
-    except (OverflowError, ValueError):
-        # only an infinite or NaN float refuses to be an integer ratio
-        raise FloatOverflow("a coefficient of a binomial expansion is not finite") from None
+    weights, scale, exps, out_ram, h = _binomial_lattice(u, e, rel, shift)
+    num, den = lead.as_integer_ratio()
     w = [(j, a * f) for j, a, f in weights]
     p, q = e.numerator, e.denominator
     h[0] = 1
@@ -577,14 +596,10 @@ def _binomial_sum(
                 acc += (pq * j - qn) * wj * prev
         h[n] = acc // n
     terms = []
-    try:
-        for n, i in enumerate(exps):
-            # int / int is correctly rounded, and 0.0 when it underflows
-            if h[n] and (c := quotient(num * h[n], den)):
-                terms.append((Fraction(i, out_ram), c))
-            den *= scale
-    except OverflowError:
-        raise FloatOverflow("a binomial coefficient lies outside the float range") from None
+    for n, i in enumerate(exps):
+        if h[n] and (c := quotient(num * h[n], den)):
+            terms.append((Fraction(i, out_ram), c))
+        den *= scale
     return PuiseuxSeries._canonical(tuple(terms), rel + shift, out_ram)
 
 

@@ -76,10 +76,6 @@ def rational_pow(c: Rat, e: Rat):
 
     Requires c != 0 for negative e; even-denominator e requires c > 0.
     """
-    if c == 0:
-        if e > 0:
-            return Fraction(0)
-        raise ZeroDivisionError("zero base with nonpositive exponent")
     root = rational_nth_root(c, e.denominator)
     if root is None:
         return None
@@ -87,10 +83,11 @@ def rational_pow(c: Rat, e: Rat):
 
 
 def float_pow(c: float, e: Rat) -> float:
-    """Sign-aware float power used in numeric mode (odd roots of negatives)."""
+    """Sign-aware float power used in numeric mode (odd roots of negatives).
+
+    Requires c >= 0 under an even root, which its callers check first.
+    """
     if c < 0:
-        if e.denominator % 2 == 0:
-            raise ValueError("even root of a negative number")
         mag = (-c) ** float(e)
         return -mag if e.numerator % 2 else mag
     return c ** float(e)

@@ -46,7 +46,6 @@ from .errors import (
     GuardViolation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
-    NegativeLeadUnderEvenRoot,
     RamificationOverflow,
 )
 from .mapexpr import MapExpr, eval_map_float, eval_map_series
@@ -224,9 +223,7 @@ def sample_pair(rng: random.Random, spec: ArcSamplerSpec) -> tuple:
 # -- image distance by a precision ladder -----------------------------------------
 
 # errors raised only from a known leading coefficient, hence at every order
-_FINAL_ERRORS = (
-    IrrationalLeadingRoot, NegativeBaseForEvenRoot, NegativeLeadUnderEvenRoot,
-)
+_FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
 
 
 def _image_ord_dist(h: MapExpr, gamma, delta, order):

@@ -300,31 +300,19 @@ def monotone_bound_check(box: float = 10.0, step: float = 0.01) -> float:
 
 
 def jacobian_check(m: MapExpr, points: Sequence) -> float:
-    """Minimum |det J| of a square map over float sample points (forward-mode J)."""
-    if m.out_dim != m.arity:
-        raise ValueError("Jacobian determinant needs a square map")
+    """Minimum |det J| of a 2x2 map, such as a chart, over float sample
+    points (forward-mode J)."""
+    if m.out_dim != 2 or m.arity != 2:
+        raise ValueError("Jacobian determinant needs a map from 2 to 2 variables")
     best = None
     for p in points:
-        rows = [[eval_tangent(e, p, j)[1] for j in range(m.arity)] for e in m.exprs]
-        d = abs(_det(rows))
-        if best is None or d < best:
-            best = d
+        (a, b), (c, d) = ([eval_tangent(e, p, j)[1] for j in range(2)] for e in m.exprs)
+        det = abs(a * d - b * c)
+        if best is None or det < best:
+            best = det
     if best is None:
         raise ValueError("no sample points supplied")
     return best
-
-
-def _det(rows) -> float:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0.0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1.0) ** j * rows[0][j] * _det(minor)
-    return total
 
 
 # -- preimage arcs ----------------------------------------------------------------

@@ -92,6 +92,15 @@ class TestProbe:
         ])
         assert code == 0, err
 
+    def test_transport_surjective_zero_base_under_the_zero_power(self):
+        # the preimage solver powers the constant 0 by the kernel's rule: 0^0 = 1
+        code, out, err = run([
+            "probe", "transport", "--transfer-kind", "surjective",
+            "--map", "x + 0^0", "--vars", "x", "--trials", "2", "--emit", "structured",
+        ])
+        assert code == 0, err
+        assert json.loads(out)["status"] == "pass"
+
     def test_transport_surjective_square_through_unknown_preimage(self):
         # the preimage branches are O(t^8), whose square must be O(t^16)
         code, _out, err = run([
@@ -250,11 +259,21 @@ class TestEval:
     @pytest.mark.parametrize("map_text, arc", [
         pytest.param("x^-1", "0", id="zero-arc"),
         pytest.param("(x - x)^-2", "t", id="zero-difference"),
+        pytest.param("x^(-1/2)", "0", id="zero-arc-root"),
+        pytest.param("x/(x - x)", "t", id="zero-denominator"),
     ])
     def test_zero_base_under_a_negative_power_is_a_guard(self, map_text, arc):
         code, out, err = run(["eval", map_text, "--vars", "x", "--arc", arc])
         assert code == 1 and not out
         assert err == "error: zero base with negative exponent\n"
+
+    # a root of the zero arc is 0, as the kernel's power of the zero series is
+    @pytest.mark.parametrize("map_text", ["x^(1/2)", "x^(1/3)", "x^(3/4)"])
+    def test_zero_base_under_a_root_is_zero(self, map_text):
+        code, out, err = run(["eval", map_text, "--vars", "x", "--arc", "0",
+                              "--emit", "structured"])
+        assert code == 0 and not err
+        assert json.loads(out)["payload"]["image"] == ["0"]
 
     def test_zero_base_under_the_zero_power_is_one(self):
         code, out, err = run(["eval", "x^0", "--vars", "x", "--arc", "0", "--emit", "structured"])
@@ -816,6 +835,10 @@ def _strict_json(text):
 @example(["eval", "x^-1", "--vars", "x", "--arc", "0"])
 @example(["eval", "x^0", "--vars", "x", "--arc", "0"])
 @example(["eval", "(x - x)^-2", "--vars", "x", "--arc", "t"])
+@example(["eval", "x^(1/2)", "--vars", "x", "--arc", "0"])
+@example(["eval", "x^(-1/2)", "--vars", "x", "--arc", "0"])
+@example(["probe", "transport", "--transfer-kind", "surjective", "--map", "x + 0^0", "--vars", "x",
+          "--trials", "2"])
 def test_main_on_fuzzed_argv_exits_with_a_code_and_no_traceback(argv):
     cap = get_ram_cap()
     code, out, err = run(argv)

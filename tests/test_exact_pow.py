@@ -12,11 +12,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcfield import puiseux
 from arcfield.errors import (
     FloatOverflow,
+    GuardViolation,
     IrrationalLeadingRoot,
     NegativeBaseForEvenRoot,
     RamificationOverflow,
@@ -66,9 +67,9 @@ def reference_pow(f, e, order=None):
     terminates = e.denominator == 1 and e >= 0
     if not f.terms:
         if f.is_zero():
-            if e > 0:
-                return PuiseuxSeries.zero()
-            raise ZeroDivisionError("zero series with nonpositive exponent")
+            if e < 0:
+                raise GuardViolation("zero base with negative exponent")
+            return PuiseuxSeries.one() if e == 0 else PuiseuxSeries.zero()
         if terminates and e > 0:
             return PuiseuxSeries((), trunc=e * f.trunc, ram=f.ram)
         raise ZeroUpToTruncationError(f.trunc)
@@ -78,7 +79,7 @@ def reference_pow(f, e, order=None):
     rest = PuiseuxSeries._canonical(f.terms[1:], f.trunc, f.ram)
     u = rest.shift(-v).scale(1 / c)
     if c < 0 and e.denominator % 2 == 0:
-        raise NegativeBaseForEvenRoot(f"({c})^{e}")
+        raise NegativeBaseForEvenRoot(f"even root of a negative lead: ({c})^{e}")
     lead_pow = rational_pow(c, e)
     if lead_pow is None:
         raise IrrationalLeadingRoot(f"({c})^{e} is irrational")
@@ -111,16 +112,19 @@ SMALL = st.integers(min_value=-9, max_value=9).filter(bool)
 
 @st.composite
 def power_cases(draw):
-    """(f, e, order): ram 1-24, relative order up to 32, every operand shape."""
+    """(f, e, order): ram 1-24, relative order up to 32, every operand shape,
+    the exactly zero series too."""
     ram = draw(st.integers(min_value=1, max_value=24))
     e = draw(st.sampled_from(EXPONENTS))
-    shape = draw(st.sampled_from(("exact", "truncated", "monomial", "unknown")))
+    shape = draw(st.sampled_from(("exact", "truncated", "monomial", "unknown", "zero")))
     v = F(draw(st.integers(min_value=-2 * ram, max_value=4 * ram)), ram)
     order = draw(st.one_of(
         st.none(), st.integers(min_value=-ram, max_value=32 * ram).map(lambda k: e * v + F(k, ram))
     ))
     if shape == "unknown":
         return PuiseuxSeries((), trunc=v, ram=ram), e, order
+    if shape == "zero":
+        return PuiseuxSeries.zero(), e, order
     base = F(draw(SMALL), draw(st.integers(min_value=1, max_value=5)))
     # mostly an exact q-th power, so that most roots get past their lead
     power = base ** e.denominator
@@ -214,9 +218,10 @@ def test_numeric_integer_power_is_a_product_chain():
 
 def float_oracle(f, e, order):
     """lead * sum_k C(e, k) u^k on the exact values of the floats of f, by
-    kernel products on Fractions, each coefficient rounded once.  The lead of
-    f is a power of 2, so u = (f / lead t^v) - 1 holds exactly the floats'
-    values divided by it, and ``lead`` is the float power of the lead."""
+    kernel products on Fractions, each coefficient rounded once.  u =
+    (f / c t^v) - 1 is built by Fraction division, because a float quotient
+    is rounded whatever the lead c: by a lead that is not a power of 2, and
+    below the normal range by one that is.  ``lead`` is the float power of c."""
     v, c = f.terms[0]
     head = e * v
     rel = None if f.trunc is None else f.trunc - v
@@ -236,16 +241,32 @@ def float_oracle(f, e, order):
     return terms, rel + head, lcm(f.ram, head.denominator)
 
 
+# below the normal range a float has fewer than 53 significant bits, and a
+# float product taken there before an exact step is rounded
+MIN_NORMAL = 2.2250738585072014e-308
+SUBNORMAL = st.one_of(
+    st.sampled_from((5e-324, 2.2250738585e-313, MIN_NORMAL - 5e-324)),
+    st.floats(min_value=5e-324, max_value=MIN_NORMAL, exclude_max=True),
+)
+NEAR_SUBNORMAL = st.floats(min_value=MIN_NORMAL, max_value=1e-300)
+
+
 @st.composite
 def float_power_cases(draw):
     """(f, e, order) over floats: ram 1-24, truncated operands, e with
-    denominators up to 6, signed coefficients, and powers that cancel."""
+    denominators up to 6, leads that are powers of 2 and leads that are not,
+    signed coefficients, subnormal and near-subnormal ones, and powers that
+    cancel."""
     ram = draw(st.integers(min_value=1, max_value=24))
     e = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
         lambda x: x and not (x.denominator == 1 and x > 0)))
     v = F(draw(st.integers(min_value=-2 * ram, max_value=3 * ram)), ram)
     sign = 1 if e.denominator % 2 == 0 else draw(st.sampled_from((1, -1)))
-    c = F(sign * 2 ** draw(st.integers(min_value=-2, max_value=2)))
+    magnitude = draw(st.one_of(
+        st.integers(min_value=-2, max_value=2).map(lambda k: 2.0**k),
+        st.floats(min_value=0.1, max_value=10).filter(lambda x: math.frexp(x)[0] != 0.5),
+    ))
+    c = F(sign * magnitude)
     if draw(st.booleans()):
         # (c t^v + a t^(v + j/ram))^q with a dyadic a: the e = p/q power is
         # a polynomial, so every coefficient past it cancels exactly
@@ -255,7 +276,11 @@ def float_power_cases(draw):
     else:
         offsets = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                                 max_size=4, unique=True))
-        coeffs = st.floats(min_value=-9, max_value=9, allow_nan=False).filter(bool)
+        tiny = st.one_of(SUBNORMAL, NEAR_SUBNORMAL)
+        coeffs = st.one_of(
+            st.floats(min_value=-9, max_value=9, allow_nan=False).filter(bool),
+            st.tuples(st.sampled_from((1, -1)), tiny).map(lambda p: p[0] * p[1]),
+        )
         exact = PuiseuxSeries([(v, c)] + [(v + F(k, ram), F(draw(coeffs))) for k in offsets])
     trunc = None
     if draw(st.booleans()):
@@ -269,6 +294,9 @@ def float_power_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(float_power_cases())
+# a subnormal coefficient under a power-of-2 lead, and a lead that is not one
+@example((PuiseuxSeries([(0, 4.0), (1, 2.2250738585e-313)]), F(3, 5), F(2)))
+@example((PuiseuxSeries([(0, 3.0), (1, 1.0)]), F(-1), F(3)))
 def test_float_power_is_the_exact_expansion_rounded_once(case):
     f, e, order = case
     cap = puiseux.get_ram_cap()
@@ -280,6 +308,14 @@ def test_float_power_is_the_exact_expansion_rounded_once(case):
         puiseux.set_ram_cap(cap)
     assert all(isinstance(q, float) for _x, q in got.terms)
     assert (got.terms, got.trunc, got.ram) == want
+
+
+def test_float_inverse_is_rounded_once():
+    # 1/(3 + t) = (1/3) (1 + t/3)^-1: the t^2 coefficient is fl(1/3), the
+    # float power of the lead, times the exact 1/9, rounded once
+    got = PuiseuxSeries([(0, 3.0), (1, 1.0)]).pow_rational(-1, order=3)
+    assert got.coeff(2) == float(F(1 / 3) / 9) == 0.037037037037037035
+    assert got.terms == ((F(0), 1 / 3), (F(1), -1 / 9), (F(2), 0.037037037037037035))
 
 
 def test_float_power_drops_a_coefficient_that_underflows():

@@ -60,6 +60,10 @@ class ReferenceLaurent:
 
     def pow_rational(self, e):
         if len(self.terms) != 1:
+            if e.denominator % 2 == 0 and self.terms[0][1] < 0:
+                # the message renders the lead as LaurentEps does
+                lead = LaurentEps(self.terms)
+                raise NegativeBaseForEvenRoot(f"even root of a negative lead: ({lead})^{e}")
             if e.denominator != 1 or e < 0:
                 raise IrrationalLeadingRoot("leading coefficient is not a parameter monomial")
             out = ReferenceLaurent({0: 1})
@@ -71,7 +75,7 @@ class ReferenceLaurent:
         if ke.denominator != 1:
             raise IrrationalLeadingRoot(f"parameter exponent {k}*{e} is not an integer")
         if c < 0 and e.denominator % 2 == 0:
-            raise NegativeBaseForEvenRoot(f"({c})^{e}")
+            raise NegativeBaseForEvenRoot(f"even root of a negative lead: ({c})^{e}")
         p = rational_pow(c, e)
         if p is None:
             raise IrrationalLeadingRoot(f"({c})^{e} is irrational")

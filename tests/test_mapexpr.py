@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcfield.errors import GuardViolation, NegativeLeadUnderEvenRoot, ZeroUpToTruncationError
+from arcfield.errors import (
+    ArcFieldError,
+    GuardViolation,
+    IrrationalLeadingRoot,
+    NegativeBaseForEvenRoot,
+    ZeroUpToTruncationError,
+)
 from arcfield.mapexpr import (
     Add,
     Const,
@@ -22,6 +28,7 @@ from arcfield.mapexpr import (
     render_map,
     variables,
 )
+from arcfield.param_series import LaurentEps, ParamSeries
 from arcfield.puiseux import PuiseuxSeries
 from arcfield.transport import jacobian_check
 
@@ -58,12 +65,11 @@ def test_eval_series_matches_float():
 
 def test_series_even_root_guard():
     x, = variables("x")
-    with pytest.raises(NegativeLeadUnderEvenRoot):
+    with pytest.raises(NegativeBaseForEvenRoot, match="even root of a negative lead"):
         eval_series(Pow(x, F(1, 2)), (-t,), order=4)
     # a lead unknown below the truncation may still turn out positive
-    with pytest.raises(GuardViolation) as unknown:
+    with pytest.raises(ZeroUpToTruncationError):
         eval_series(Pow(x, F(1, 2)), (PuiseuxSeries((), trunc=F(1)),), order=4)
-    assert type(unknown.value) is GuardViolation
 
 
 def test_series_zero_base_matches_the_float_guard():
@@ -75,6 +81,101 @@ def test_series_zero_base_matches_the_float_guard():
         eval_float(Pow(x, F(-1)), (0.0,))
     assert eval_series(Pow(x, F(0)), (zero,), order=4) == PuiseuxSeries.constant(1)
     assert eval_float(Pow(x, F(0)), (0.0,)) == 1.0
+    # a root of zero is zero, in the series ring and at a float point
+    assert eval_series(Pow(x, F(1, 2)), (zero,), order=4) == zero
+    assert eval_float(Pow(x, F(1, 2)), (0.0,)) == 0.0
+    with pytest.raises(GuardViolation, match="zero base with negative exponent"):
+        eval_series(x / (x - x), (t,), order=4)
+
+
+# -- the evaluator's powers are the kernel's ---------------------------------------
+
+POWER_TABLE_EXPONENTS = [F(1, 2), F(1, 3), F(2), F(0), F(-1), F(-1, 2)]
+POWER_TABLE_SHAPES = ["zero", "unknown", "negative", "positive", "param"]
+
+
+@st.composite
+def power_table_bases(draw):
+    """A base of one shape: exactly zero, O(t^2), a known negative or positive
+    lead (a sixth power, so that both roots exist, or not), and a ParamSeries
+    whose lead +-1 + k e is not a parameter monomial."""
+    shape = draw(st.sampled_from(POWER_TABLE_SHAPES))
+    if shape == "zero":
+        return PuiseuxSeries.zero()
+    if shape == "unknown":
+        return PuiseuxSeries.unknown(2)
+    k = F(draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=3)))
+    v = F(draw(st.integers(min_value=0, max_value=6)), draw(st.integers(min_value=1, max_value=2)))
+    tail = F(draw(st.integers(min_value=-5, max_value=5).filter(bool)))
+    trunc = draw(st.sampled_from([None, v + 3]))
+    if shape == "param":
+        lead = LaurentEps({0: draw(st.sampled_from([-1, 1])), 1: k})
+        return ParamSeries([(v, lead), (v + 1, LaurentEps({0: tail}))], trunc=trunc)
+    sign = -1 if shape == "negative" else 1
+    lead = sign * draw(st.sampled_from([k**6, k]))
+    return PuiseuxSeries([(v, lead), (v + F(1, 2), tail)], trunc=trunc)
+
+
+def _power_outcome(fn):
+    try:
+        return fn()
+    except ArcFieldError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_table_bases(), st.sampled_from(POWER_TABLE_EXPONENTS))
+def test_series_powers_are_the_kernels(base, e):
+    """eval_series adds no guard of its own: a power, and for e = -1 a
+    quotient, is what ``pow_rational`` gives or raises."""
+    x, = variables("x")
+    want = _power_outcome(lambda: base.pow_rational(e, order=8))
+    assert _power_outcome(lambda: eval_series(Pow(x, e), (base,), order=8)) == want
+    if e == -1:
+        assert _power_outcome(lambda: eval_series(Const(1) / x, (base,), order=8)) == want
+
+
+PARAM_BASE = ParamSeries([(1, LaurentEps({0: 1, 1: 1}))], trunc=4)
+NEGATIVE_PARAM_BASE = ParamSeries([(1, LaurentEps({0: -1, 1: 1}))], trunc=4)
+
+
+@pytest.mark.parametrize("base, e, want", [
+    pytest.param(PuiseuxSeries.zero(), F(1, 2), PuiseuxSeries.zero(), id="zero-root"),
+    pytest.param(PuiseuxSeries.zero(), F(0), PuiseuxSeries.one(), id="zero-zeroth"),
+    pytest.param(PuiseuxSeries.zero(), F(-1, 2), GuardViolation, id="zero-negative"),
+    pytest.param(PuiseuxSeries.unknown(2), F(2), PuiseuxSeries.unknown(4), id="unknown-square"),
+    pytest.param(PuiseuxSeries.unknown(2), F(0), ZeroUpToTruncationError, id="unknown-zeroth"),
+    pytest.param(PuiseuxSeries.unknown(2), F(1, 2), ZeroUpToTruncationError, id="unknown-root"),
+    pytest.param(-t, F(1, 2), NegativeBaseForEvenRoot, id="negative-even-root"),
+    pytest.param(-t, F(1, 3), PuiseuxSeries.t_power(F(1, 3), -1), id="negative-odd-root"),
+    pytest.param(t.scale(2), F(1, 2), IrrationalLeadingRoot, id="irrational-root"),
+    pytest.param(PARAM_BASE, F(1, 2), IrrationalLeadingRoot, id="param-non-monomial-root"),
+    pytest.param(PARAM_BASE, F(2), PARAM_BASE * PARAM_BASE, id="param-non-monomial-square"),
+    pytest.param(NEGATIVE_PARAM_BASE, F(1, 2), NegativeBaseForEvenRoot,
+                 id="param-negative-non-monomial-root"),
+    pytest.param(NEGATIVE_PARAM_BASE, F(1, 3), IrrationalLeadingRoot,
+                 id="param-negative-non-monomial-odd-root"),
+])
+def test_series_power_guards(base, e, want):
+    x, = variables("x")
+    if isinstance(want, PuiseuxSeries):
+        assert eval_series(Pow(x, e), (base,), order=8) == want
+    else:
+        with pytest.raises(want) as info:
+            eval_series(Pow(x, e), (base,), order=8)
+        assert type(info.value) is want
+
+
+def test_zero_factor_does_not_hide_a_negative_even_root():
+    """A final guard is not swallowed by a zero factor: (x - x) x^(1/2) at a
+    ParamSeries whose lead -1 + e is negative is refused, as eval_float
+    refuses it at a negative point."""
+    x, = variables("x")
+    expr = Mul(Sub(x, x), Pow(x, F(1, 2)))
+    with pytest.raises(NegativeBaseForEvenRoot, match=r"\(-1 \+ e\)\^1/2"):
+        eval_series(expr, (NEGATIVE_PARAM_BASE,), order=8)
+    with pytest.raises(GuardViolation):
+        eval_float(expr, (-1.0,))
 
 
 def test_diff_against_finite_differences():

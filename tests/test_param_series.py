@@ -348,7 +348,7 @@ def test_param_binomial_matches_the_laurent_recurrence(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(binomial_cases(), laurent_rows().filter(LaurentEps.is_monomial),
+@given(binomial_cases(), laurent_rows().filter(lambda c: len(c.terms) == 1),
        st.fractions(min_value=-3, max_value=3, max_denominator=2))
 def test_param_binomial_writes_lead_and_shift_into_its_rows(case, lead, shift):
     u, e, rel = case

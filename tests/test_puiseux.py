@@ -13,6 +13,7 @@ from conftest import (
 )
 
 from arcfield.errors import (
+    GuardViolation,
     IndistinguishableAtTruncation,
     NegativeBaseForEvenRoot,
     IrrationalLeadingRoot,
@@ -212,6 +213,21 @@ class TestCompose:
     def test_positive_valuation_required(self):
         with pytest.raises(NonPositiveValuationSubstitution):
             (t * t).compose(one + t)
+
+    def test_zero_inner_keeps_the_constant_term(self):
+        zero = PuiseuxSeries.zero()
+        f = one + t + PuiseuxSeries.unknown(3)
+        assert f.compose(zero) == one
+
+    def test_zero_inner_under_a_pole_is_a_guard(self):
+        # t^-1 at t = 0 is the zero base under a negative power
+        with pytest.raises(GuardViolation, match="zero base with negative exponent"):
+            (one + t.inv()).compose(PuiseuxSeries.zero())
+
+    @pytest.mark.parametrize("trunc", [F(0), F(-1, 2)])
+    def test_zero_inner_needs_a_known_constant_term(self, trunc):
+        with pytest.raises(ZeroUpToTruncationError, match="constant term unknown"):
+            PuiseuxSeries.unknown(trunc).compose(PuiseuxSeries.zero())
 
 
 class TestOrdCmpLimit:

@@ -11,10 +11,10 @@ from arcfield.errors import (
     ArcFieldError,
     CounterexampleFound,
     DegenerateData,
-    GuardViolation,
     IrrationalLeadingRoot,
-    NegativeLeadUnderEvenRoot,
+    NegativeBaseForEvenRoot,
     RamificationOverflow,
+    ZeroUpToTruncationError,
 )
 from arcfield import topology
 from arcfield.mapexpr import Pow, eval_map_float, eval_map_series, map_expr, variables
@@ -546,7 +546,8 @@ CHEAP_MAPS = {
     "sqrt": (parse_map("x^(1/2)", ("x",)), ArcSamplerSpec(dim=1, unit_lead=True)),
     "sqrt-any-lead": (parse_map("x^(1/2)", ("x",)), ArcSamplerSpec(dim=1)),
     "umbrella": (whitney_umbrella_map(), ArcSamplerSpec(dim=2)),
-    # the lead of the root's argument is unknown at low orders: GuardViolation
+    # the lead of the root's argument is unknown at low orders:
+    # ZeroUpToTruncationError
     "unknown-lead": (parse_map("((1/(1+x)) - 1 + x)^(1/2)", ("x",)), ArcSamplerSpec(dim=1)),
     # an odd root of the same unknown lead: ZeroUpToTruncationError at low
     # orders, IrrationalLeadingRoot at the working order on (t, -t)
@@ -657,7 +658,7 @@ class TestImageLadder:
     def test_retries_past_an_unknown_lead(self):
         h, _spec = CHEAP_MAPS["unknown-lead"]
         gamma, delta = (t,), (t.scale(2),)
-        with pytest.raises(GuardViolation):
+        with pytest.raises(ZeroUpToTruncationError):
             eval_map_series(h, gamma, order=ORDER / 8)
         assert _image_ord_dist(h, gamma, delta, ORDER) == 1
         assert full_order_dist(h, gamma, delta, ORDER) == 1
@@ -676,7 +677,7 @@ class TestImageLadder:
         assert calls == [ORDER / 8]
         assert full_order_dist(h, gamma, delta, ORDER) is None
         for rung in (ORDER / 8, None):
-            with pytest.raises(NegativeLeadUnderEvenRoot):
+            with pytest.raises(NegativeBaseForEvenRoot):
                 eval_map_series(h, gamma, order=ORDER, rel=rung)
 
     def test_odd_root_of_an_unknown_lead_is_not_final(self):

@@ -306,6 +306,16 @@ class TestJacobianCheck:
         assert jacobian_check(lift_u, pts) > 0.1
         assert jacobian_check(lift_v, pts) > 0.1
 
+    @pytest.mark.parametrize("exprs, names", [
+        pytest.param(lambda x: (x,), ("x",), id="1x1"),
+        pytest.param(lambda x, y, z: (x, y * z, z), ("x", "y", "z"), id="3x3"),
+        pytest.param(lambda x, y: (x, x * y, y), ("x", "y"), id="2x3"),
+    ])
+    def test_only_two_by_two_maps(self, exprs, names):
+        m = map_expr(exprs(*variables(*names)), names)
+        with pytest.raises(ValueError, match="from 2 to 2 variables"):
+            jacobian_check(m, [(1.0,) * len(names)])
+
 
 class TestPreimage:
     def test_cube(self):
