@@ -12,22 +12,40 @@ be distributed without changing the report.
 The Hoelder and injectivity probes only compare two images, and the first
 differing term usually sits far below the working order.  So they evaluate
 the images on a precision ladder and stop at the first rung that decides
-ord(h(gamma) - h(delta)).  The three low rungs run at relative precision
-rel = order/8, order/4, order/2: every inverse and rational power of the
-map expands only rel past its own leading exponent, never past ``order``
-(``eval_series(..., order, rel)``).  The last rung is the evaluation at the
-full order.  This is exact, not a heuristic.  Because no expansion passes
-``order``, what a node of the map knows at a rung is a part of what it knows
-at the full order, and every coefficient known at a rung is the true one.
-So a known leading exponent, an exact equality, or an error raised from a
-known leading coefficient is what the full order gives too.  An evaluation
-that succeeds at a rung also succeeds at the full order: a power of a
-series with no known term succeeds only for a positive integer exponent,
-and the ramification of every intermediate series, which the cap bounds,
-does not depend on the precision.  A rung that let an expansion run past
-``order`` could know a coefficient that the full order discards, and so
-decide a pair that the full order leaves unresolved.  Undecided rungs move
-on to the next.
+ord(h(gamma) - h(delta)).  A low rung runs at a relative precision rel on
+the grid order/8, 2*order/8, ..., 7*order/8: every inverse and rational
+power of the map expands only rel past its own leading exponent, never past
+``order`` (``eval_series(..., order, rel)``).  The last rung is the
+evaluation at the full order.
+
+Every rung's answer is the full order's.  This is exact, not a heuristic.
+Because no expansion passes ``order``, what a node of the map knows at a
+rung is a part of what it knows at the full order, and every coefficient
+known at a rung is the true one.  So a known leading exponent, an exact
+equality, or an error raised from a known leading coefficient is what the
+full order gives too.  An evaluation that succeeds at a rung also succeeds
+at the full order: a power of a series with no known term succeeds only for
+a positive integer exponent, and the ramification of every intermediate
+series, which the cap bounds, does not depend on the precision.  A rung
+that let an expansion run past ``order`` could know a coefficient that the
+full order discards, and so decide a pair that the full order leaves
+unresolved.
+
+So the order in which the rungs are tried, and which of them are skipped,
+can change the run time but never the answer: a rung either returns the
+full order's answer or passes on, and the full order itself always comes
+last.  The schedule spends that freedom on t-adic continuity, as a guess
+about run time only.  Arcs at distance d = ord(gamma - delta) have images
+that agree to about order d, and raising rel raises the bound below which a
+rung knows the image difference by about as much.  So a rung whose bound
+stays at or below d is not likely to decide.  The first rung is order/8; a
+rung that leaves the difference unresolved below a bound B <= d at
+precision rel is followed by the least grid rung rel' < order with
+B + (rel' - rel) > d.  Without one, after a rung whose bound B > d already
+passed the distance and still left the difference unresolved (the guess
+has failed for this pair, and stepping up the grid would try every rung),
+and after an error at a low rung that is not final, the next rung is the
+full order.
 """
 
 from __future__ import annotations
@@ -226,22 +244,29 @@ def sample_pair(rng: random.Random, spec: ArcSamplerSpec) -> tuple:
 _FINAL_ERRORS = (IrrationalLeadingRoot, NegativeBaseForEvenRoot)
 
 
-def _image_ord_dist(h: MapExpr, gamma, delta, order):
+def _image_ord_dist(h: MapExpr, gamma, delta, order, d):
     """tadic_ord_dist(h(gamma), h(delta)) with both images at working ``order``.
 
     Returns None where evaluating the images at ``order``, or comparing
-    them, raises ArcFieldError.
-    The images are first evaluated at relative precision order/8, order/4
-    and order/2 (``eval_map_series(..., order=order, rel=...)``: every
-    expansion runs that far past its own lead, and never past ``order``),
-    and a rung's outcome is returned only when it holds at every order: a
-    known leading exponent of the difference, exactly equal images, or an
-    error that comes from a known leading coefficient.  Anything else (a
-    guard or lead that is merely unknown, an unresolved difference) moves to
-    the next rung, and the last rung is the plain evaluation at ``order``.
+    them, raises ArcFieldError.  ``d`` is ord(gamma - delta) of the two
+    distinct arcs, which picks the rungs (see the module docstring).
+    The images are first evaluated at relative precision order/8
+    (``eval_map_series(..., order=order, rel=...)``: every expansion runs
+    that far past its own lead, and never past ``order``), and a rung's
+    outcome is returned only when it holds at every order: a known leading
+    exponent of the difference, exactly equal images, or an error that
+    comes from a known leading coefficient.  A difference left unresolved
+    below a bound B <= d at precision rel moves to the least rel' = rel +
+    k*order/8 below ``order`` with B + (rel' - rel) > d, or else to the
+    plain evaluation at ``order``; so do a difference left unresolved below
+    a bound B > d and a guard or lead that is merely unknown.  Skipping
+    rungs cannot change the answer, because each rung that decides gives
+    the full order's answer.
     """
     top = Fraction(order)
-    for rel in (top / 8, top / 4, top / 2, None):
+    step = top / 8
+    rel = step
+    while True:
         try:
             img = tadic_ord_dist(
                 eval_map_series(h, gamma, order=top, rel=rel),
@@ -250,10 +275,17 @@ def _image_ord_dist(h: MapExpr, gamma, delta, order):
         except _FINAL_ERRORS:
             return None
         except ArcFieldError:
+            if rel is None:
+                return None
+            rel = None
             continue
         if rel is None or not isinstance(img, ZeroUpToTruncation) or img.trunc is None:
             return img
-    return None
+        # the least grid rung whose bound can pass d; none is left when this
+        # rung's bound already passed d
+        rel += step * ((d - img.trunc) // step + 1)
+        if img.trunc > d or rel >= top:
+            rel = None
 
 
 # -- Hoelder probe ----------------------------------------------------------------
@@ -286,10 +318,11 @@ def holder_probe(
     Pairs whose images cannot be evaluated (root guards) or whose image
     difference does not resolve at the working order 16 are discarded and
     counted, not fatal.  Images are compared by ``_image_ord_dist``, which
-    settles a pair at the lowest rung that decides it: relative precision
-    2, 4 or 8, capped at order 16, then order 16 itself.  The estimate
-    equals the one with every image evaluated at order 16 (see the module
-    docstring).  alpha is searched over rationals in (0, 1] with
+    settles a pair at the first rung that decides it: relative precision 2,
+    capped at order 16, then the least even relative precision below 16
+    whose rung can see past the arcs' distance, then order 16 itself.  The
+    estimate equals the one with every image evaluated at order 16 (see the
+    module docstring).  alpha is searched over rationals in (0, 1] with
     denominator at most 24; the offset is the worst slack at that alpha, so
     it is nonnegative by construction.
     """
@@ -331,7 +364,7 @@ def _seeded_pairs(h, spec, trials, seed, use) -> int:
         d = tadic_ord_dist(gamma, delta)
         if isinstance(d, ZeroUpToTruncation):
             return None  # identical arcs carry no constraint
-        img = _image_ord_dist(h, gamma, delta, _ORDER)
+        img = _image_ord_dist(h, gamma, delta, _ORDER, d)
         return img is not None and use(gamma, delta, d, img)
 
     return _trial_loop(trials, attempt, "evaluate {} of {} pairs")
@@ -524,8 +557,9 @@ def _check_injective(h, spec, trials, seed):
         # pairs never try
         for arc in (gamma, delta):
             for swapped in _swapped_copies(arc):
-                if not isinstance(tadic_ord_dist(arc, swapped), ZeroUpToTruncation):
-                    _injective_witness(_image_ord_dist(h, arc, swapped, _ORDER), arc, swapped)
+                d = tadic_ord_dist(arc, swapped)
+                if not isinstance(d, ZeroUpToTruncation):
+                    _injective_witness(_image_ord_dist(h, arc, swapped, _ORDER, d), arc, swapped)
         return True
 
     _seeded_pairs(h, spec, trials, seed, use)

@@ -610,10 +610,25 @@ def full_order_holder(h, spec, trials, seed, order=ORDER, alpha_max_den=24):
     return HolderEstimate(alpha, offset, produced, discarded, pair)
 
 
+def record_rungs(monkeypatch):
+    """Make topology's eval_map_series record the ``rel`` of every call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rel"])
+        return eval_map_series(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "eval_map_series", counted)
+    return calls
+
+
 def _check_ladder(maps, name, seed):
     h, spec = maps[name]
     gamma, delta = sample_pair(random.Random(seed), spec)
-    assert _image_ord_dist(h, gamma, delta, ORDER) == full_order_dist(h, gamma, delta, ORDER)
+    d = tadic_ord_dist(gamma, delta)
+    if isinstance(d, ZeroUpToTruncation):
+        return  # identical arcs: the probes never compare their images
+    assert _image_ord_dist(h, gamma, delta, ORDER, d) == full_order_dist(h, gamma, delta, ORDER)
 
 
 class TestImageLadder:
@@ -655,25 +670,45 @@ class TestImageLadder:
         assert image.trunc == 1
         assert image == eval_map_series(h, (t,), order=ORDER)[0].truncate(1)
 
-    def test_retries_past_an_unknown_lead(self):
+    def test_retries_past_an_unknown_lead(self, monkeypatch):
         h, _spec = CHEAP_MAPS["unknown-lead"]
         gamma, delta = (t,), (t.scale(2),)
         with pytest.raises(ZeroUpToTruncationError):
             eval_map_series(h, gamma, order=ORDER / 8)
-        assert _image_ord_dist(h, gamma, delta, ORDER) == 1
         assert full_order_dist(h, gamma, delta, ORDER) == 1
+        calls = record_rungs(monkeypatch)
+        assert _image_ord_dist(h, gamma, delta, ORDER, tadic_ord_dist(gamma, delta)) == 1
+        # gamma's image fails at order/8, so delta's is not evaluated there,
+        # and the retry is at the full order
+        assert calls == [ORDER / 8, None, None]
+
+    @pytest.mark.parametrize("h, bump, low, rungs", [
+        # a bump at t^9 in x: the order/8 rung knows the difference only
+        # below t^3, so the least grid rung with 3 + (rel - 2) > 9 is rel 10
+        (radial_stretch_map(), (9, 2), 3, [ORDER / 8, F(10)]),
+        # d = 3, and the order/8 rung knows the images agree below t^4: no
+        # grid rung is expected to do better, so the full order comes next
+        (parse_map("x^2*(1 + x)^(1/2)", ("x",)), (3, 1), 4, [ORDER / 8, None]),
+    ], ids=["jump", "past-the-distance"])
+    def test_an_unresolved_rung_moves_to_the_rung_the_distance_picks(
+        self, monkeypatch, h, bump, low, rungs
+    ):
+        d, dim = bump
+        gamma = (t, t**2)[:dim]
+        delta = (t + PuiseuxSeries.t_power(d),) + gamma[1:]
+        assert tadic_ord_dist(gamma, delta) == d
+        assert tadic_ord_dist(*(eval_map_series(h, arc, order=ORDER, rel=ORDER / 8)
+                                for arc in (gamma, delta))) == ZeroUpToTruncation(low)
+        answer = full_order_dist(h, gamma, delta, ORDER)
+        calls = record_rungs(monkeypatch)
+        assert _image_ord_dist(h, gamma, delta, ORDER, d) == answer
+        assert calls[::2] == calls[1::2] == rungs
 
     def test_known_negative_lead_under_an_even_root_is_final(self, monkeypatch):
         h = parse_map("(x - x^2)^(1/2)", ("x",))
         gamma, delta = (-t,), (t,)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["rel"])
-            return eval_map_series(*args, **kwargs)
-
-        monkeypatch.setattr(topology, "eval_map_series", counted)
-        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        calls = record_rungs(monkeypatch)
+        assert _image_ord_dist(h, gamma, delta, ORDER, tadic_ord_dist(gamma, delta)) is None
         assert calls == [ORDER / 8]
         assert full_order_dist(h, gamma, delta, ORDER) is None
         for rung in (ORDER / 8, None):
@@ -685,7 +720,7 @@ class TestImageLadder:
         gamma, delta = (t,), (-t,)
         with pytest.raises(IrrationalLeadingRoot):
             eval_map_series(h, gamma, order=ORDER)
-        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        assert _image_ord_dist(h, gamma, delta, ORDER, tadic_ord_dist(gamma, delta)) is None
         assert full_order_dist(h, gamma, delta, ORDER) is None
 
     def test_ramification_overflow_does_not_depend_on_the_order(self):
@@ -698,13 +733,14 @@ class TestImageLadder:
         for rung in (ORDER / 8, ORDER):
             with pytest.raises(RamificationOverflow):
                 eval_map_series(h, gamma, order=rung)
-        assert _image_ord_dist(h, gamma, delta, ORDER) is None
+        assert _image_ord_dist(h, gamma, delta, ORDER, tadic_ord_dist(gamma, delta)) is None
         assert full_order_dist(h, gamma, delta, ORDER) is None
 
     def test_exact_equality_is_final(self):
         x, = variables("x")
         square = map_expr((x * x,), ("x",))
-        assert _image_ord_dist(square, (t,), (-t,), ORDER) == ZeroUpToTruncation(None)
+        d = tadic_ord_dist((t,), (-t,))
+        assert _image_ord_dist(square, (t,), (-t,), ORDER, d) == ZeroUpToTruncation(None)
 
     @pytest.mark.parametrize("name", sorted(CHEAP_MAPS))
     def test_holder_probe_matches_full_order(self, name):

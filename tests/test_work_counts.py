@@ -21,12 +21,15 @@ OPS = (
     ("roots", "X^3 - t - t^2", "--t-order", "12"),
     ("probe", "holder", "--map", "x^(1/3)", "--vars", "x", "--unit-lead",
      "--trials", "10", "--seed", "1"),
+    ("probe", "holder", "--map", "(x*(1 + y^2/(x^2+y^2))^(1/4), y)",
+     "--trials", "20", "--seed", "1"),
 )
 BOUNDS = {
-    "puiseux.mul.term_pairs": 1166,
-    "puiseux.init.calls": 270,
-    "puiseux.binomial_lattice_points": 541,
+    "puiseux.mul.term_pairs": 3801,
+    "puiseux.init.calls": 791,
+    "puiseux.binomial_lattice_points": 2069,
     "param_series.binomial_lattice_points": 128,
+    "mapexpr.eval_map_series.calls": 113,
 }
 
 
