@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .param_series import param_rows, render_param_series
 from .parser import _Scanner, chunk_spans, parse_map, parse_poly, parse_series
 from .puiseux import render_series
 from .qarith import render_rat
+from .record import Record
 from .newton import np_roots
 from .topology import (
     ArcSamplerSpec,
@@ -79,8 +79,8 @@ READS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    __slots__ = ("subcommand", "t_order", "trials", "seed", "mode", "ram_cap", "emit", "tolerance")
     subcommand: str
     t_order: Fraction
     trials: int
@@ -103,8 +103,8 @@ class RunConfig:
         }
 
 
-@dataclass
-class Report:
+class Report(Record):
+    __slots__ = ("subcommand", "config", "payload", "status")
     subcommand: str
     config: dict
     payload: dict

@@ -1,6 +1,6 @@
 """Expression trees for semialgebraic maps, with three evaluators.
 
-Nodes are frozen dataclasses supporting operator syntax, so catalog maps can
+Nodes are immutable records supporting operator syntax, so catalog maps can
 be written as ordinary arithmetic on variables.  A ``MapExpr`` bundles the
 component expressions of a vector map with its input variable names.
 
@@ -17,15 +17,15 @@ Evaluation targets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import FloatOverflow, GuardViolation, IrrationalLeadingRoot
 from .qarith import float_pow, render_rat
+from .record import Record
 
 
-class Expr:
+class Expr(Record):
     """Base node; arithmetic operators build larger trees."""
 
     __slots__ = ()
@@ -61,14 +61,15 @@ class Expr:
         return Pow(self, Fraction(e))
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ("index", "name")
+    _defaults = {"name": ""}
     index: int
-    name: str = ""
+    name: str
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
     def __post_init__(self):
@@ -76,37 +77,37 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
 class Add(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Div(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: Fraction
 
@@ -123,9 +124,10 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 
-@dataclass(frozen=True)
-class MapExpr:
+class MapExpr(Record):
     """A vector-valued semialgebraic map: component expressions and arity."""
+
+    __slots__ = ("exprs", "var_names")
 
     exprs: Tuple[Expr, ...]
     var_names: Tuple[str, ...]

@@ -40,7 +40,6 @@ Hoeven, "Ball arithmetic", 2009); an exact term never is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, nextafter
 from typing import List, Optional, Tuple
@@ -55,14 +54,16 @@ from .errors import (
 )
 from .puiseux import PuiseuxSeries, _min_bound, _render_exp
 from .qarith import Exp, lcm, rational_nth_root
+from .record import Record
 
 # a float term below this times the magnitudes summed into it is round-off
 NUMERIC_CHOP = 1e-10
 
 
-@dataclass(frozen=True)
-class PolyOverSeries:
+class PolyOverSeries(Record):
     """Polynomial in X with PuiseuxSeries coefficients, low degree first."""
+
+    __slots__ = ("coeffs",)
 
     coeffs: Tuple[PuiseuxSeries, ...]
 
@@ -94,9 +95,10 @@ def _poly_mul_series(a, b):
     return out
 
 
-@dataclass(frozen=True)
-class RootBranch:
+class RootBranch(Record):
     """One real series branch with its residual certificate."""
+
+    __slots__ = ("series", "multiplicity", "certified_order", "exactness")
 
     series: PuiseuxSeries
     multiplicity: int
@@ -111,8 +113,8 @@ class RootBranch:
         )
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(Record):
+    __slots__ = ("terms", "mult", "trunc")
     terms: tuple  # ((exp, coeff), ...)
     mult: int
     trunc: Optional[Exp]  # None: exact root

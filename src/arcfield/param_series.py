@@ -19,13 +19,13 @@ unbounded, and the lowest such t-exponent is recorded as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import IrrationalLeadingRoot, NegativeBaseForEvenRoot, message_number
 from .puiseux import PuiseuxSeries, _binomial_lattice, _render_exp
 from .qarith import Exp, Rat, lcm, render_rat
+from .record import Record
 
 # not called here, where every power is the kernel's; the benchmark's tracer
 # looks the name up in this module
@@ -91,14 +91,15 @@ class LaurentEps(PuiseuxSeries):
         return _render_eps_coeff(self)
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(Record):
     """Lowest t-exponent whose coefficient blows up as the parameter -> 0."""
 
+    __slots__ = ("t_exp", "eps_exp", "coeff", "m0n0")
+    _defaults = {"m0n0": None}
     t_exp: Exp
     eps_exp: int
     coeff: Rat
-    m0n0: Optional[tuple] = None
+    m0n0: Optional[tuple]
 
     def __post_init__(self):
         if self.eps_exp >= 0:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -77,6 +76,7 @@ from .puiseux import (
     render_series,
 )
 from .qarith import lcm
+from .record import Record
 from .transport import solve_preimage_arc
 
 
@@ -124,14 +124,15 @@ def _first_difference(a, b, bound):
     return e if bound is None or e < bound else None
 
 
-@dataclass(frozen=True)
-class ProductLimit:
+class ProductLimit(Record):
     """Outcome of the coefficientwise limit of a parametric family."""
 
+    __slots__ = ("converged", "limit", "component", "witness")
+    _defaults = {"component": None, "witness": None}
     converged: bool
     limit: Optional[tuple]  # arc of PuiseuxSeries when converged
-    component: Optional[int] = None
-    witness: Optional[DivergenceWitness] = None
+    component: Optional[int]
+    witness: Optional[DivergenceWitness]
 
 
 def product_topology_limit(family: Sequence[ParamSeries]) -> ProductLimit:
@@ -157,8 +158,7 @@ _TARGET = Fraction(_MAX_EXP_NUM + 2)
 _ALPHA_MAX_DEN = 24
 
 
-@dataclass(frozen=True)
-class ArcSamplerSpec:
+class ArcSamplerSpec(Record):
     """Distribution of random Puiseux polynomial arcs based at 0.
 
     Each component draws a denominator q <= 4, then 1 to 3 exponents k/q
@@ -168,9 +168,11 @@ class ArcSamplerSpec:
     maps that take exact roots of it.
     """
 
-    dim: int = 1
-    unit_lead: bool = False
-    min_lead_exp: tuple = ()
+    __slots__ = ("dim", "unit_lead", "min_lead_exp")
+    _defaults = {"dim": 1, "unit_lead": False, "min_lead_exp": ()}
+    dim: int
+    unit_lead: bool
+    min_lead_exp: tuple
 
     def floor_exp(self, i: int) -> Fraction:
         if self.min_lead_exp and i < len(self.min_lead_exp):
@@ -291,9 +293,10 @@ def _image_ord_dist(h: MapExpr, gamma, delta, order, d):
 # -- Hoelder probe ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
+class HolderEstimate(Record):
     """Largest feasible exponent for ord(h(g) - h(d)) >= alpha ord(g - d) + offset."""
+
+    __slots__ = ("alpha", "constant_offset", "sample_count", "discarded", "worst_pair")
 
     alpha: Fraction
     constant_offset: Fraction
@@ -395,9 +398,10 @@ def _trial_loop(trials, attempt, what) -> int:
 # -- power-law lower bound fitting -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LojaFit:
+class LojaFit(Record):
     """Fitted c, r with phi2 >= c * phi1^r - max_violation on samples."""
+
+    __slots__ = ("c", "r", "max_violation", "fit_samples", "validation_samples")
 
     c: float
     r: float
@@ -514,8 +518,8 @@ def _norm_diff(u, v) -> float:
 # -- transfer checks -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Record):
+    __slots__ = ("kind", "trials", "status")
     kind: str
     trials: int
     status: str  # "pass"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -31,10 +30,15 @@ from .errors import (
     ZeroUpToTruncationError,
 )
 from .mapexpr import (
+    Add,
     Const,
+    Div,
     Expr,
     MapExpr,
+    Mul,
+    Neg,
     Pow,
+    Sub,
     Var,
     eval_map_series,
     eval_tangent,
@@ -50,6 +54,7 @@ from .param_series import (
     select_m0n0,
 )
 from .puiseux import PuiseuxSeries
+from .record import Record
 
 CHART_U = "U"
 CHART_V = "V"
@@ -149,9 +154,10 @@ def push_through_chart(tag: str, d: Sequence) -> tuple:
 # -- the discontinuity pipeline -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PushforwardResult:
+class PushforwardResult(Record):
     """Image of the parabola family under the stretch, with its analysis."""
+
+    __slots__ = ("chart", "lifted", "image", "witness", "factor_coeffs")
 
     chart: str
     lifted: tuple  # chart coordinates of the family, exact
@@ -385,8 +391,6 @@ def _poly_in_var(expr: Expr, var: int, env: dict, order):
     Other variables are substituted from ``env`` (series values); anything
     that is not polynomial in the unknown raises UnsupportedShape.
     """
-    from .mapexpr import Add, Div, Mul, Neg, Sub
-
     zero = PuiseuxSeries.zero()
     if isinstance(expr, Var):
         if expr.index == var:

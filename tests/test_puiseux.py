@@ -19,6 +19,7 @@ from arcfield.errors import (
     IrrationalLeadingRoot,
     NonPositiveValuationSubstitution,
     RamificationOverflow,
+    TruncationExhausted,
     UnboundedExpansion,
     ZeroUpToTruncationError,
 )
@@ -290,6 +291,18 @@ class TestReparam:
             res = f.compose(d, order=target) - t
             lb = res.ord_lower_bound()
             assert lb is not None and lb >= target and not res.terms
+
+    @pytest.mark.parametrize("f, error, message", [
+        pytest.param(one + t, NonPositiveValuationSubstitution, "order 0 is not positive",
+                     id="order-0"),
+        pytest.param(PuiseuxSeries([(1, 1)], trunc=2), TruncationExhausted,
+                     "inverting to order 3 needs f known below 4", id="known-too-low"),
+        pytest.param(PuiseuxSeries.unknown(2), ZeroUpToTruncationError,
+                     "series is zero up to truncation 2", id="no-known-term"),
+    ])
+    def test_refuses_what_it_cannot_invert(self, f, error, message):
+        with pytest.raises(error, match=message):
+            reparam_inverse(f, 3)
 
 
 class TestStructure:

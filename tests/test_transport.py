@@ -14,6 +14,7 @@ from arcfield.errors import (
     ZeroArc,
 )
 from arcfield.mapexpr import eval_map_float, eval_map_series, map_expr, variables
+from arcfield.parser import parse_map
 from arcfield.param_series import LaurentEps, ParamSeries
 from arcfield.puiseux import PuiseuxSeries
 from arcfield.transport import (
@@ -349,3 +350,12 @@ class TestPreimage:
         tangled = map_expr((x * y, x * y), ("x", "y"))
         with pytest.raises(UnsupportedShape):
             solve_preimage_arc(tangled, (t, t), 3)
+
+    def test_quotient_by_a_known_value(self):
+        # x = 2/3 t, so y/2 + 8/27 t^3 = t^2
+        pre = solve_preimage_arc(parse_map("(x, y/2 + x^3)"), (F(2, 3) * t, t * t), 6)
+        assert pre == (F(2, 3) * t, 2 * t * t - F(16, 27) * t ** 3)
+
+    def test_unknown_in_a_denominator(self):
+        with pytest.raises(UnsupportedShape, match="unknown appears in a denominator"):
+            solve_preimage_arc(parse_map("(x, x/y)"), (t, t), 6)
