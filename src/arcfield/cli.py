@@ -1,10 +1,11 @@
 """Command-line front end: deterministic runs, machine-readable reports.
 
-Every run produces a single report record: subcommand echo, configuration
-echo, payload, and a status in {pass, fail, witness}.  ``--emit structured``
-prints it as one canonical JSON object (sorted keys, no timestamps), so a
-fixed command line is byte-reproducible.  Exit codes: 0 pass, 1 error,
-2 witness or counterexample found.
+Each subcommand's handler takes the parsed arguments and returns a payload
+and a status in {pass, fail, witness}.  ``main`` alone builds the report
+from them: subcommand echo, configuration echo, payload and status.
+``--emit structured`` prints it as one canonical JSON object (sorted keys,
+no timestamps), so a fixed command line is byte-reproducible.  Exit codes:
+0 pass, 1 error, 2 witness or counterexample found.
 
 Any argument value of the form ``@path`` is replaced by the contents of
 that file.
@@ -36,7 +37,6 @@ from .param_series import param_rows, render_param_series
 from .parser import _Scanner, chunk_spans, parse_map, parse_poly, parse_series
 from .puiseux import render_series
 from .qarith import render_rat
-from .record import Record
 from .newton import np_roots
 from .topology import (
     ArcSamplerSpec,
@@ -79,39 +79,8 @@ READS = {
 }
 
 
-class RunConfig(Record):
-    __slots__ = ("subcommand", "t_order", "trials", "seed", "mode", "ram_cap", "emit", "tolerance")
-    subcommand: str
-    t_order: Fraction
-    trials: int
-    seed: int
-    mode: str
-    ram_cap: int
-    emit: str
-    tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "t_order": render_rat(self.t_order),
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "ram_cap": self.ram_cap,
-            "emit": self.emit,
-            "tolerance": self.tolerance,
-        }
-
-
-class Report(Record):
-    __slots__ = ("subcommand", "config", "payload", "status")
-    subcommand: str
-    config: dict
-    payload: dict
-    status: str  # pass | fail | witness
-
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 2, "witness": 2}[self.status]
+# exit code of each report status
+EXIT_CODES = {"pass": 0, "fail": 2, "witness": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,25 +184,29 @@ def build_parser() -> _Parser:
     return top
 
 
-def _config_from(args) -> RunConfig:
-    t_order = _fraction(args.t_order)
-    if t_order <= 0:
+def _config_from(args) -> dict:
+    """Check the common flags and store the t-order on ``args`` as a Fraction.
+
+    Returns the configuration that the report echoes.
+    """
+    args.t_order = _fraction(args.t_order)
+    if args.t_order <= 0:
         raise ConfigError("t-order must be positive")
     if args.ram_cap < 1:
         raise ConfigError("ram-cap must be at least 1")
-    return RunConfig(
-        subcommand=args.subcommand,
-        t_order=t_order,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        ram_cap=args.ram_cap,
-        emit=args.emit,
-        tolerance=args.tolerance,
-    )
+    return {
+        "subcommand": args.subcommand,
+        "t_order": render_rat(args.t_order),
+        "trials": args.trials,
+        "seed": args.seed,
+        "mode": args.mode,
+        "ram_cap": args.ram_cap,
+        "emit": args.emit,
+        "tolerance": args.tolerance,
+    }
 
 
-def _reject_unread_flags(args, cfg: RunConfig) -> None:
+def _reject_unread_flags(args) -> None:
     """Refuse a non-default value of a flag that the run would never read."""
     run = args.subcommand
     if run == "probe":
@@ -241,7 +214,7 @@ def _reject_unread_flags(args, cfg: RunConfig) -> None:
         if args.kind == "transport":
             run += f" {args.transfer_kind}"
     # compare --t-order by value, so that 16/2 is the default 8
-    given = dict(vars(args), t_order=render_rat(cfg.t_order))
+    given = dict(vars(args), t_order=render_rat(args.t_order))
     reads = READS[run]
     if given.get("map_text") or given.get("phi1"):
         # --vars names the variables of every map a run parses
@@ -292,14 +265,14 @@ def _parse_box(text: str, arity: int):
 # -- handlers --------------------------------------------------------------------
 
 
-def run_counterexample(cfg: RunConfig, grid_box: float, grid_step: float) -> Report:
-    if cfg.t_order < 3:
+def run_counterexample(args) -> tuple[dict, str]:
+    if args.t_order < 3:
         raise ConfigError("counterexample needs --t-order at least 3")
     try:
-        bound_max = monotone_bound_check(grid_box, grid_step)
+        bound_max = monotone_bound_check(args.grid_box, args.grid_step)
     except ValueError as exc:
         raise ConfigError(f"bad --grid-box/--grid-step: {exc}") from None
-    result = counterexample_pushforward(cfg.t_order)
+    result = counterexample_pushforward(args.t_order)
     product = chart_factor_product(12)
     product_ok = product.terms == ((Fraction(0), Fraction(1)),)
     lift_u, _lift_v = chart_lift_maps()
@@ -326,15 +299,14 @@ def run_counterexample(cfg: RunConfig, grid_box: float, grid_step: float) -> Rep
             "is_one": product_ok,
         },
         "monotone_bound": {
-            "grid_box": grid_box,
-            "grid_step": grid_step,
+            "grid_box": args.grid_box,
+            "grid_step": args.grid_step,
             "max": bound_max,
             "ok": bound_max <= 0.25,
         },
         "jacobian_at_origin": {"det": det, "ok": det == 1.0},
     }
-    status = "witness" if w is not None else "fail"
-    return Report("counterexample", cfg.as_dict(), payload, status)
+    return payload, "witness" if w is not None else "fail"
 
 
 def _sampler_spec(arity: int, args) -> ArcSamplerSpec:
@@ -353,16 +325,16 @@ def _sampler_spec(arity: int, args) -> ArcSamplerSpec:
     )
 
 
-def run_probe(cfg: RunConfig, args) -> Report:
+def run_probe(args) -> tuple[dict, str]:
     kind = args.kind
-    if kind != "unif" and cfg.trials < 1:
+    if kind != "unif" and args.trials < 1:
         raise ConfigError(f"probe {kind} needs --trials at least 1")
     if kind == "holder":
         if not args.map_text:
             raise ConfigError("probe holder needs --map")
         m = _pruned_map(_expand_at(args.map_text), _parse_vars(args.vars))
         spec = _sampler_spec(m.arity, args)
-        est = holder_probe(m, spec, trials=cfg.trials, seed=cfg.seed)
+        est = holder_probe(m, spec, trials=args.trials, seed=args.seed)
         payload = {
             "kind": "holder",
             "map": args.map_text,
@@ -372,7 +344,7 @@ def run_probe(cfg: RunConfig, args) -> Report:
             "discarded": est.discarded,
             "worst_pair": list(est.worst_pair),
         }
-        return Report("probe", cfg.as_dict(), payload, "pass" if est.alpha > 0 else "fail")
+        return payload, "pass" if est.alpha > 0 else "fail"
     if kind == "loja":
         if not (args.phi1 and args.phi2):
             raise ConfigError("probe loja needs --phi1 and --phi2")
@@ -383,10 +355,10 @@ def run_probe(cfg: RunConfig, args) -> Report:
         arity = max(phi1.arity, phi2.arity)
         phi1, phi2 = (MapExpr(phi.exprs, names[:arity]) for phi in (phi1, phi2))
         box = _parse_box(args.box, arity)
-        if not math.isfinite(cfg.tolerance):
+        if not math.isfinite(args.tolerance):
             raise ConfigError("probe loja needs a finite --tolerance")
-        fit = loja_fit(phi1, phi2, box, samples=cfg.trials, seed=cfg.seed)
-        ok = fit.max_violation <= cfg.tolerance
+        fit = loja_fit(phi1, phi2, box, samples=args.trials, seed=args.seed)
+        ok = fit.max_violation <= args.tolerance
         payload = {
             "kind": "loja",
             "phi1": args.phi1,
@@ -398,7 +370,7 @@ def run_probe(cfg: RunConfig, args) -> Report:
             "fit_samples": fit.fit_samples,
             "validation_samples": fit.validation_samples,
         }
-        return Report("probe", cfg.as_dict(), payload, "pass" if ok else "fail")
+        return payload, "pass" if ok else "fail"
     if kind == "unif":
         if not args.map_text:
             raise ConfigError("probe unif needs --map")
@@ -418,7 +390,7 @@ def run_probe(cfg: RunConfig, args) -> Report:
             "grid_step": args.grid_step,
             "r": r,
         }
-        return Report("probe", cfg.as_dict(), payload, "pass" if r > 0 else "fail")
+        return payload, "pass" if r > 0 else "fail"
     # transport
     if args.transfer_kind != "limit_additive" and not args.map_text:
         raise ConfigError("probe transport needs --map")
@@ -433,8 +405,8 @@ def run_probe(cfg: RunConfig, args) -> Report:
         raise ConfigError("probe transport needs --target greater than 0")
     try:
         rep = transfer_check(
-            args.transfer_kind, m, spec, trials=cfg.trials, seed=cfg.seed,
-            target=target, mode=cfg.mode,
+            args.transfer_kind, m, spec, trials=args.trials, seed=args.seed,
+            target=target, mode=args.mode,
         )
     except CounterexampleFound as exc:
         payload = {
@@ -443,26 +415,26 @@ def run_probe(cfg: RunConfig, args) -> Report:
             "map": args.map_text,
             "witness": exc.witness,
         }
-        return Report("probe", cfg.as_dict(), payload, "witness")
+        return payload, "witness"
     payload = {
         "kind": "transport",
         "transfer_kind": rep.kind,
         "map": args.map_text,
         "trials": rep.trials,
     }
-    return Report("probe", cfg.as_dict(), payload, "pass")
+    return payload, "pass"
 
 
-def run_roots(cfg: RunConfig, poly_text: str) -> Report:
-    poly = parse_poly(_expand_at(poly_text))
+def run_roots(args) -> tuple[dict, str]:
+    poly = parse_poly(_expand_at(args.poly))
     if poly.degree < 1:
         raise ConfigError("polynomial must have degree at least 1")
     try:
-        branches = np_roots(poly, cfg.t_order, mode=cfg.mode)
+        branches = np_roots(poly, args.t_order, mode=args.mode)
     except IrrationalBranch as exc:
         raise ArcFieldError(f"{exc}; rerun with --mode numeric") from exc
     payload = {
-        "poly": poly_text,
+        "poly": args.poly,
         "degree": poly.degree,
         "branches": [
             {
@@ -477,45 +449,35 @@ def run_roots(cfg: RunConfig, poly_text: str) -> Report:
         ],
         "note": "" if branches else "no real branches",
     }
-    return Report("roots", cfg.as_dict(), payload, "pass")
+    return payload, "pass"
 
 
-def run_eval(cfg: RunConfig, map_text: str, arc_text: str, vars_text: str) -> Report:
-    m = _pruned_map(_expand_at(map_text), _parse_vars(vars_text))
-    arc = _expand_at(arc_text)
+def run_eval(args) -> tuple[dict, str]:
+    m = _pruned_map(_expand_at(args.map_text), _parse_vars(args.vars))
+    arc = _expand_at(args.arc)
     comps = tuple(parse_series(arc, a, b) for a, b in chunk_spans(arc))
     if len(comps) != m.arity:
         raise ConfigError(f"arc has {_count(len(comps), 'component')}, the map takes {m.arity}")
-    image = eval_map_series(m, comps, order=cfg.t_order)
+    image = eval_map_series(m, comps, order=args.t_order)
     payload = {
-        "map": map_text,
+        "map": args.map_text,
         "arc": [render_series(c) for c in comps],
         "image": [render_series(c) for c in image],
     }
-    return Report("eval", cfg.as_dict(), payload, "pass")
+    return payload, "pass"
 
 
 # -- emission ---------------------------------------------------------------------
 
 
-def _emit_text(report: Report, out) -> None:
-    print(f"[{report.subcommand}] status: {report.status}", file=out)
-    for key in sorted(report.payload):
-        print(f"  {key}: {report.payload[key]}", file=out)
-
-
-def emit(report: Report, out=None) -> None:
+def emit(report: dict, out=None) -> None:
     out = out or sys.stdout
-    if report.config.get("emit") == "structured":
-        record = {
-            "subcommand": report.subcommand,
-            "config": report.config,
-            "payload": report.payload,
-            "status": report.status,
-        }
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
-    else:
-        _emit_text(report, out)
+    if report["config"]["emit"] == "structured":
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")), file=out)
+        return
+    print(f"[{report['subcommand']}] status: {report['status']}", file=out)
+    for key in sorted(report["payload"]):
+        print(f"  {key}: {report['payload'][key]}", file=out)
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -532,17 +494,12 @@ def main(argv=None, out=None, err=None) -> int:
             if not arg.isascii() and not value.startswith("@"):
                 raise ConfigError(f"argument {ascii(arg)} is not ASCII")
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
-        _reject_unread_flags(args, cfg)
-        puiseux.set_ram_cap(cfg.ram_cap)
-        if args.subcommand == "counterexample":
-            report = run_counterexample(cfg, args.grid_box, args.grid_step)
-        elif args.subcommand == "probe":
-            report = run_probe(cfg, args)
-        elif args.subcommand == "roots":
-            report = run_roots(cfg, args.poly)
-        else:
-            report = run_eval(cfg, args.map_text, args.arc, args.vars)
+        config = _config_from(args)
+        _reject_unread_flags(args)
+        puiseux.set_ram_cap(args.ram_cap)
+        handler = {"counterexample": run_counterexample, "probe": run_probe,
+                   "roots": run_roots, "eval": run_eval}[args.subcommand]
+        payload, status = handler(args)
     except ParseError as exc:
         print(f"parse error at bytes {exc.start}..{exc.end}: "
               f"expected {exc.expected}, found {exc.found}", file=err)
@@ -552,8 +509,9 @@ def main(argv=None, out=None, err=None) -> int:
         return 1
     finally:
         puiseux.set_ram_cap(ram_cap)
-    emit(report, out)
-    return report.exit_code()
+    emit({"subcommand": args.subcommand, "config": config, "payload": payload,
+          "status": status}, out)
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

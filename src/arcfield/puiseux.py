@@ -64,6 +64,7 @@ from .errors import (
     message_number,
 )
 from .qarith import Exp, Rat, float_pow, lcm, rational_pow, render_rat
+from .record import Record
 
 DEFAULT_RAM_CAP = 64
 _ram_cap = DEFAULT_RAM_CAP
@@ -81,27 +82,15 @@ def get_ram_cap() -> int:
     return _ram_cap
 
 
-class ZeroUpToTruncation:
+class ZeroUpToTruncation(Record):
     """Sentinel order: no nonzero coefficient is known below ``trunc``.
 
     ``trunc`` None means the series is exactly zero (order +infinity).
     """
 
     __slots__ = ("trunc",)
-
-    def __init__(self, trunc: Optional[Exp] = None):
-        self.trunc = trunc
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroUpToTruncation) and self.trunc == other.trunc
-
-    def __hash__(self):
-        return hash(("ZeroUpToTruncation", self.trunc))
-
-    def __repr__(self):
-        if self.trunc is None:
-            return "ZeroUpToTruncation(exact)"
-        return f"ZeroUpToTruncation({self.trunc})"
+    _defaults = {"trunc": None}
+    trunc: Optional[Exp]
 
 
 class Diverges:
@@ -196,6 +185,11 @@ class PuiseuxSeries:
 
     def __setattr__(self, *_args):
         raise AttributeError("PuiseuxSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _canonical: restoring the slots
+        # one by one would assign, which __setattr__ refuses
+        return self._canonical, (self.terms, self.trunc, self.ram)
 
     @classmethod
     def _canonical(cls, terms: tuple, trunc: Optional[Exp], ram: int) -> PuiseuxSeries:

@@ -534,6 +534,8 @@ HOLDER_X = ["probe", "holder", "--map", "x", "--vars", "x", "--trials", "3"]
                  id="loja-tolerance-nan"),
     pytest.param(LOJA + ["--box=-1,1", "--tolerance", "inf"], id="loja-tolerance-inf"),
     pytest.param(LOJA + ["--box=-1,1", "--tolerance=-inf"], id="loja-tolerance-minus-inf"),
+    pytest.param(["probe", "loja", "--phi1", "x", "--vars", "x"], id="loja-no-phi2"),
+    pytest.param(["probe", "transport", "--transfer-kind", "injective"], id="transport-no-map"),
 ])
 def test_bad_probe_input_is_one_error_line(argv):
     code, out, err = run(argv)

@@ -149,6 +149,20 @@ class TestRoots:
         with pytest.raises(TruncationExhausted):
             np_roots(poly(PuiseuxSeries.unknown(2), t, one), 1)
 
+    def test_unknown_constant_pins_the_linear_root(self):
+        # X + O(t^3): the root is O(t^3), known to vanish below t^3
+        branches = np_roots(poly(PuiseuxSeries.unknown(3), one), 3)
+        assert [(b.series, b.multiplicity, b.certified_order) for b in branches] == [
+            (PuiseuxSeries.unknown(3), 1, F(3))]
+        with pytest.raises(TruncationExhausted, match="residual is known only below order 3"):
+            np_roots(poly(PuiseuxSeries.unknown(3), one), 8)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_unknown_constant_over_a_linear_coefficient_as_high(self, k):
+        # t^k X + O(t^3): the root is O(t^(3 - k)), so not even its order is known
+        with pytest.raises(TruncationExhausted, match="root order undecidable at this truncation"):
+            np_roots(poly(PuiseuxSeries.unknown(3), t ** k), 3)
+
     def test_truncated_linear_coefficient_ok(self):
         g = t + t * t + PuiseuxSeries.unknown(8)
         branches = np_roots(poly(-g, one), 6)

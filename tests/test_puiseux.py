@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +25,8 @@ from arcfield.errors import (
     UnboundedExpansion,
     ZeroUpToTruncationError,
 )
+from arcfield.param_series import ParamSeries
+from arcfield.parser import parse_series
 from arcfield.puiseux import (
     DIVERGES,
     PuiseuxSeries,
@@ -330,6 +334,23 @@ class TestStructure:
                 PuiseuxSeries.t_power(F(1, 8)) * PuiseuxSeries.t_power(F(1, 3))
         finally:
             set_ram_cap(cap)
+
+    @pytest.mark.parametrize("f", [
+        pytest.param(parse_series("3*t^(1/2) + O(t^3)", 0, 18), id="fraction"),
+        pytest.param(PuiseuxSeries(((F(1, 2), 0.5), (F(3, 2), -1.25)), trunc=F(3)), id="float"),
+        pytest.param(ParamSeries.eps_t(1, F(1, 2)) + ParamSeries.eps_t(-1, 2), id="param"),
+    ])
+    def test_copy_and_pickle_rebuild_the_series(self, f):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is type(f) and g == f
+            assert (g.terms, g.trunc, g.ram) == (f.terms, f.trunc, f.ram)
+            assert [type(c) for _e, c in g.terms] == [type(c) for _e, c in f.terms]
+            with pytest.raises(AttributeError, match="immutable"):
+                g.trunc = None
+        assert f.ram == 2
+
+    def test_copies_of_the_divergence_sentinel_are_the_sentinel(self):
+        assert copy.copy(DIVERGES) is DIVERGES and copy.deepcopy(DIVERGES) is DIVERGES
 
     def test_numeric_scale_drops_underflow(self):
         tiny = PuiseuxSeries(((F(1), 1e-200), (F(2), 1.0)))

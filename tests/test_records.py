@@ -1,16 +1,16 @@
 """The value records of ``src/arcfield``: constructors, checks, equality,
-hashing, immutability and repr, class by class."""
+hashing, immutability, copies and repr, class by class."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from arcfield.cli import Report, RunConfig
 from arcfield.mapexpr import Add, Const, Div, MapExpr, Mul, Neg, Pow, Sub, Var
 from arcfield.newton import PolyOverSeries, RootBranch, _Branch
 from arcfield.param_series import DivergenceWitness
-from arcfield.puiseux import PuiseuxSeries
+from arcfield.puiseux import PuiseuxSeries, ZeroUpToTruncation
 from arcfield.topology import (
     ArcSamplerSpec,
     HolderEstimate,
@@ -40,16 +40,15 @@ RECORDS = {
     "_Branch": lambda: _Branch(((F(1), F(1)),), 1, F(3)),
     "DivergenceWitness": lambda: DivergenceWitness(F(3), -1, F(1, 4), (1, 2)),
     "PushforwardResult": lambda: PushforwardResult("U", (t, t), (t, t), None, {(1, 0): F(1)}),
-    "RunConfig": lambda: RunConfig("roots", F(8), 100, 0, "exact", 64, "text", 1e-9),
-    "Report": lambda: Report("roots", {"seed": 0}, {"branches": []}, "pass"),
     "ProductLimit": lambda: ProductLimit(True, (t,)),
     "ArcSamplerSpec": lambda: ArcSamplerSpec(2, True, (F(1), F(2))),
     "HolderEstimate": lambda: HolderEstimate(F(1, 2), F(0), 20, 3, ("t", "2*t")),
     "LojaFit": lambda: LojaFit(1.0, 2.0, 0.0, 10, 5),
     "TransferReport": lambda: TransferReport("injective", 5, "pass"),
+    "ZeroUpToTruncation": lambda: ZeroUpToTruncation(F(3)),
 }
 # their fields hold dicts, which have no hash
-UNHASHABLE = {"PushforwardResult", "Report"}
+UNHASHABLE = {"PushforwardResult"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -62,6 +61,7 @@ def test_record_is_an_immutable_value(name):
         assert hash(a) == hash(b)
         assert {a, b} == {a}
     assert copy.copy(a) == a
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     fields = type(a).__slots__
     assert fields and not hasattr(a, "__dict__")
     assert repr(a) == f"{name}(" + ", ".join(f"{f}={getattr(a, f)!r}" for f in fields) + ")"
@@ -113,6 +113,7 @@ def test_defaults_and_keywords():
     assert (spec.dim, spec.unit_lead, spec.min_lead_exp) == (2, False, (F(1), F(2)))
     assert ArcSamplerSpec() == ArcSamplerSpec(1, False, ())
     assert ProductLimit(False, None, witness=None) == ProductLimit(False, None, None, None)
+    assert ZeroUpToTruncation() == ZeroUpToTruncation(None) != ZeroUpToTruncation(F(3))
 
 
 @pytest.mark.parametrize("args, kwargs, message", [

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lagrange_inverse, random_series
 
+from arcfield import transport
 from arcfield.errors import (
+    GuardViolation,
     IndistinguishableAtTruncation,
     NoRealBranch,
     UnsupportedShape,
@@ -146,6 +148,29 @@ class TestLift:
     def test_undecidable_orders(self):
         with pytest.raises(IndistinguishableAtTruncation):
             lift_arc_blowup((PuiseuxSeries.unknown(1), t * t))
+
+    @pytest.mark.parametrize("arc, chart, lifted", [
+        # (t, O(t^2)) lifts to (t, O(t^2)/t) = (t, O(t))
+        pytest.param((t, PuiseuxSeries.unknown(2)), CHART_U, (t, PuiseuxSeries.unknown(1)),
+                     id="unknown-second-above"),
+        # (O(t^3), t) lifts to (O(t^3)/t, t) = (O(t^2), t)
+        pytest.param((PuiseuxSeries.unknown(3), t), CHART_V, (PuiseuxSeries.unknown(2), t),
+                     id="unknown-first-above"),
+    ])
+    def test_known_order_below_an_unknown_component(self, arc, chart, lifted):
+        assert lift_arc_blowup(arc) == (chart, lifted)
+
+    @pytest.mark.parametrize("arc, message", [
+        pytest.param((t, PuiseuxSeries.unknown(1)), "component orders not comparable",
+                     id="unknown-second-at"),
+        pytest.param((PuiseuxSeries.unknown(1), t), "component orders not comparable",
+                     id="unknown-first-at"),
+        pytest.param((PuiseuxSeries.unknown(2), PuiseuxSeries.unknown(2)),
+                     "no component has a known order", id="both-unknown"),
+    ])
+    def test_incomparable_orders_are_refused(self, arc, message):
+        with pytest.raises(IndistinguishableAtTruncation, match=message):
+            lift_arc_blowup(arc)
 
     def test_roundtrip_random(self):
         rng = random.Random(37)
@@ -318,6 +343,23 @@ class TestJacobianCheck:
             jacobian_check(m, [(1.0,) * len(names)])
 
 
+def spy_final_evaluations(monkeypatch):
+    """Record each candidate preimage arc that the solver evaluates, and how."""
+    tried = []
+
+    def spy(h, arc, order=None):
+        try:
+            image = eval_map_series(h, arc, order=order)
+        except GuardViolation as exc:
+            tried.append((arc, type(exc).__name__))
+            raise
+        tried.append((arc, "ok"))
+        return image
+
+    monkeypatch.setattr(transport, "eval_map_series", spy)
+    return tried
+
+
 class TestPreimage:
     def test_cube(self):
         x, = variables("x")
@@ -355,6 +397,34 @@ class TestPreimage:
         # x = 2/3 t, so y/2 + 8/27 t^3 = t^2
         pre = solve_preimage_arc(parse_map("(x, y/2 + x^3)"), (F(2, 3) * t, t * t), 6)
         assert pre == (F(2, 3) * t, 2 * t * t - F(16, 27) * t ** 3)
+
+    def test_a_branch_that_fails_the_final_check_is_rejected(self, monkeypatch):
+        # x^2 = t^2 has the branches -t and t; only t also gives x^3 = t^3
+        tried = spy_final_evaluations(monkeypatch)
+        pre = solve_preimage_arc(parse_map("(x^2, x^3)", ("x",)), (t * t, t ** 3), 6)
+        assert pre == (t,)
+        assert tried == [((-t,), "ok"), ((t,), "ok")]
+
+    def test_no_branch_passes_the_final_check(self, monkeypatch):
+        # x^3 = +-t^3 for both branches of x^2 = t^2, never 2 t^3
+        tried = spy_final_evaluations(monkeypatch)
+        with pytest.raises(NoRealBranch,
+                           match="no real preimage arc matches to the requested order"):
+            solve_preimage_arc(parse_map("(x^2, x^3)", ("x",)), (t * t, 2 * t ** 3), 6)
+        assert tried == [((-t,), "ok"), ((t,), "ok")]
+
+    def test_a_guard_in_the_final_evaluation_rejects_the_branch(self, monkeypatch):
+        # x = t, and then -1 - t^2 has no real square root
+        tried = spy_final_evaluations(monkeypatch)
+        with pytest.raises(NoRealBranch):
+            solve_preimage_arc(parse_map("(x, (-1 - x^2)^(1/2))", ("x",)), (t, t), 4)
+        assert tried == [((t,), "NegativeBaseForEvenRoot")]
+
+    def test_a_rejected_branch_leaves_no_stale_unknown(self):
+        # x = -t gives y = 3t and x*y = -3t^2, so it is rejected; x = t must
+        # solve y afresh, y = t
+        pre = solve_preimage_arc(parse_map("(x^2, x + y, x*y)"), (t * t, 2 * t, t * t), 6)
+        assert pre == (t, t)
 
     def test_unknown_in_a_denominator(self):
         with pytest.raises(UnsupportedShape, match="unknown appears in a denominator"):
